@@ -17,7 +17,7 @@ from math import gcd
 import numpy as np
 
 from .errors import InadmissibleError, ResourceLimitError
-from .model import ConditionSet, delta
+from .model import ConditionSet, delta, isolated_indices
 from .padic import relevant_primes, valuations
 
 _SEARCH_GUARD = 10**9
@@ -68,12 +68,62 @@ def witness(cs: ConditionSet) -> tuple[int, ...]:
     return result
 
 
+def pruned_walk(cs: ConditionSet, active: list[int], bound: int, visit) -> bool:
+    """Depth-first walk of [1, bound] over the `active` coordinates, ascending.
+
+    `active` must hold every index of every condition.  A prefix is cut once
+    a partial gcd stops being a multiple of its target (or, for a complete
+    condition, equal to it).  visit(prefix, hits) is called for each prefix
+    of all but the last coordinate that survives, with a boolean mask over
+    1..bound of the last values completing a solution; `prefix` is reused.
+    A truthy return stops the walk; returns whether it was stopped.
+    """
+    values = [c.value for c in cs.conditions]
+    by_pos: dict[int, list[tuple[int, bool]]] = {i: [] for i in active}
+    for ci, c in enumerate(cs.conditions):
+        last = max(c.indices)
+        for i in c.indices:
+            by_pos[i].append((ci, i == last))
+    steps = [by_pos[i] for i in active]
+    depth = len(active) - 1
+    ns = np.arange(1, bound + 1, dtype=np.int64)
+    partial = [0] * len(values)
+    prefix = [0] * depth
+
+    def walk(pos: int) -> bool:
+        if pos == depth:
+            mask = np.ones(bound, dtype=bool)
+            for ci, complete in steps[pos]:
+                g = np.gcd(partial[ci], ns)
+                mask &= g == values[ci] if complete else g % values[ci] == 0
+            return visit(prefix, mask)
+        for n in range(1, bound + 1):
+            saved = []
+            ok = True
+            for ci, complete in steps[pos]:
+                g = gcd(partial[ci], n)
+                if (g != values[ci]) if complete else (g % values[ci] != 0):
+                    ok = False
+                    break
+                saved.append((ci, partial[ci]))
+                partial[ci] = g
+            if ok:
+                prefix[pos] = n
+                if walk(pos + 1):
+                    return True
+            for ci, old in saved:
+                partial[ci] = old
+        return False
+
+    return bool(walk(0))
+
+
 def brute_force_find(cs: ConditionSet, bound: int) -> tuple[int, ...] | None:
     """Lexicographically first solution in [1, bound]^k, or None.
 
-    Independent search oracle: enumerates tuples in ascending order,
-    pruning any prefix whose partial gcd on some condition is not a
-    multiple of the target.  Guarded by bound**k <= 10**9.
+    Independent search oracle: `pruned_walk` stopped at the first hit, with
+    coordinates in no condition set to 1 (so the result stays first).
+    Guarded by bound**k <= 10**9.
     """
     bound = operator.index(bound)
     if bound < 1:
@@ -85,48 +135,17 @@ def brute_force_find(cs: ConditionSet, bound: int) -> tuple[int, ...] | None:
     if any(c.value > bound for c in cs.conditions):
         return None  # gcd of entries <= bound can never reach the target
 
-    k = cs.k
-    conds = cs.conditions
-    ncond = len(conds)
-    values = [c.value for c in conds]
-    by_pos: list[list[tuple[int, bool]]] = [[] for _ in range(k + 1)]
-    for ci, c in enumerate(conds):
-        last = max(c.indices)
-        for i in c.indices:
-            by_pos[i].append((ci, i == last))
+    entries = [1] * cs.k
+    active = sorted(set(range(1, cs.k + 1)) - isolated_indices(cs))
+    if not active:
+        return tuple(entries)
 
-    ns = np.arange(1, bound + 1, dtype=np.int64)
-    partial = [0] * ncond
-    prefix = [0] * k
+    def visit(prefix: list[int], hits: np.ndarray) -> bool:
+        found = np.flatnonzero(hits)
+        if found.size == 0:
+            return False
+        for i, n in zip(active, prefix + [int(found[0]) + 1]):
+            entries[i - 1] = n
+        return True
 
-    def walk(pos: int) -> tuple[int, ...] | None:
-        if pos == k:
-            mask = np.ones(bound, dtype=bool)
-            for ci, complete in by_pos[k]:
-                g = np.gcd(partial[ci], ns)
-                mask &= g == values[ci] if complete else g % values[ci] == 0
-            hits = np.nonzero(mask)[0]
-            if hits.size == 0:
-                return None
-            prefix[k - 1] = int(hits[0]) + 1
-            return tuple(prefix)
-        for n in range(1, bound + 1):
-            saved = []
-            ok = True
-            for ci, complete in by_pos[pos]:
-                g = gcd(partial[ci], n)
-                if (g != values[ci]) if complete else (g % values[ci] != 0):
-                    ok = False
-                    break
-                saved.append((ci, partial[ci]))
-                partial[ci] = g
-            if ok:
-                prefix[pos - 1] = n
-                found = walk(pos + 1)
-                if found is not None:
-                    return found
-            for ci, old in saved:
-                partial[ci] = old
-        return None
-
-    return walk(1)
+    return tuple(entries) if pruned_walk(cs, active, bound, visit) else None

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -66,7 +65,7 @@ def parse_document(text: str) -> ConditionSet:
         value = entry["gcd"]
         if isinstance(value, str):
             digits = value.strip()
-            if not digits.isdigit():
+            if not (digits.isascii() and digits.isdigit()):
                 raise ValueError(f"{where}.gcd: expected digits, got {value!r}")
             value = int(digits)
         elif isinstance(value, bool) or not isinstance(value, int):
@@ -96,33 +95,13 @@ def _load(path: str) -> ConditionSet:
         return parse_document(fh.read())
 
 
-def _resolve_threads(args) -> int:
-    env = os.environ.get("GCDCENSUS_THREADS")
-    raw = env if env is not None else getattr(args, "threads", None)
-    if raw is None:
-        return os.cpu_count() or 1
-    n = int(raw)
-    if n < 1:
-        raise ValueError(f"thread count must be >= 1, got {n}")
-    return n
-
-
-def _parse_cover(raw: str | None):
+def _parse_ints(raw: str | None, flag: str):
     if raw is None:
         return None
     try:
         return [int(s) for s in raw.split(",") if s.strip()]
     except ValueError:
-        raise ValueError(f"--cover: expected comma-separated integers, got {raw!r}")
-
-
-def _parse_primes(raw: str | None):
-    if raw is None:
-        return None
-    try:
-        return [int(s) for s in raw.split(",") if s.strip()]
-    except ValueError:
-        raise ValueError(f"--primes: expected comma-separated integers, got {raw!r}")
+        raise ValueError(f"{flag}: expected comma-separated integers, got {raw!r}")
 
 
 def _cmd_check(args) -> int:
@@ -152,10 +131,9 @@ def _trace_json(trace):
 
 def _cmd_constant(args) -> int:
     cs = _load(args.file)
-    _resolve_threads(args)
     result = density.constant(
         cs,
-        cover=_parse_cover(args.cover),
+        cover=_parse_ints(args.cover, "--cover"),
         prime_cutoff=args.prime_bound,
         trace=args.trace,
     )
@@ -184,7 +162,6 @@ def _cmd_constant(args) -> int:
 
 def _cmd_count(args) -> int:
     cs = _load(args.file)
-    _resolve_threads(args)
     n = counting.count(cs, args.limit)
     dens = n / args.limit**cs.k
     if args.format == "json":
@@ -198,8 +175,8 @@ def _cmd_count(args) -> int:
 
 def _cmd_verify(args) -> int:
     cs = _load(args.file)
-    _resolve_threads(args)
-    result = density.constant(cs, cover=_parse_cover(args.cover), prime_cutoff=args.prime_bound)
+    cover = _parse_ints(args.cover, "--cover")
+    result = density.constant(cs, cover=cover, prime_cutoff=args.prime_bound)
     report = counting.empirical_report(cs, args.limit, result)
     gap = abs(report.density - report.constant)
     if args.format == "json":
@@ -251,12 +228,12 @@ def _cmd_factors(args) -> int:
     report = is_admissible(cs)
     if not report:
         raise InadmissibleError(*report.violation)
-    primes = _parse_primes(args.primes)
+    primes = _parse_ints(args.primes, "--primes")
     if primes is None:
         primes = list(relevant_primes(cs))
     if not primes:
         raise ValueError("no primes requested and no prime divides any condition target")
-    cover = _parse_cover(args.cover)
+    cover = _parse_ints(args.cover, "--cover")
     w = frozenset(cover) if cover is not None else find_cover(cs)
     views = [local_view(cs, p, w) for p in primes]
     factors = [density.local_factor(v) for v in views]
@@ -278,17 +255,10 @@ def _cmd_factors(args) -> int:
     return 0
 
 
-def _add_common(sub, threads=True, fmt=True):
+def _add_common(sub, fmt=True):
     sub.add_argument("file", help="condition-system JSON document ('-' for stdin)")
     if fmt:
         sub.add_argument("--format", choices=("text", "json"), default="text")
-    if threads:
-        sub.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="worker thread budget (GCDCENSUS_THREADS overrides; never affects output)",
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,11 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("check", help="decide whether the system has any solution")
-    _add_common(p, threads=False, fmt=False)
+    _add_common(p, fmt=False)
     p.set_defaults(func=_cmd_check)
 
     p = subs.add_parser("witness", help="print the canonical solution tuple")
-    _add_common(p, threads=False, fmt=False)
+    _add_common(p, fmt=False)
     p.set_defaults(func=_cmd_witness)
 
     p = subs.add_parser("constant", help="evaluate the density constant")
@@ -326,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = subs.add_parser("factors", help="print the per-prime views")
-    _add_common(p, threads=False)
+    _add_common(p)
     p.add_argument("--primes", default=None, help="comma-separated primes (default: target primes)")
     p.add_argument("--cover", default=None, help="comma-separated cover indices")
     p.set_defaults(func=_cmd_factors)

@@ -1,20 +1,23 @@
 """Exact enumeration of satisfying tuples and convergence diagnostics.
 
-The counter here is deliberately simple: a nested scan over [1, x]^k
-whose inner loops are pruned as soon as a partial gcd stops being a
-multiple of its target, with the innermost coordinate vectorized.  It is
-the trusted oracle the density constant is checked against, so no sieve
-tricks beyond the Mobius-inversion count of fully-coprime tuples.
+The counter here is deliberately simple: `admissibility.pruned_walk`, a
+nested scan over [1, x]^k pruned as soon as a partial gcd stops being a
+multiple of its target, with the innermost coordinate vectorized.  The
+walk is shared with `brute_force_find`; the tests keep an independent
+oracle for each (`naive_count`, `naive_first`).  It is the trusted oracle
+the density constant is checked against, so no sieve tricks beyond the
+Mobius-inversion count of fully-coprime tuples.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from math import gcd, inf, log
+from math import inf, log
 
 import numpy as np
 
+from .admissibility import pruned_walk
 from .density import DensityResult
 from .errors import ResourceLimitError
 from .model import ConditionSet, isolated_indices, neighbors
@@ -56,52 +59,17 @@ def count(cs: ConditionSet, x: int) -> int:
         raise ResourceLimitError(f"x**k = {x}**{cs.k} exceeds the {_COUNT_GUARD} count guard")
     if any(c.value > x for c in cs.conditions):
         return 0
-    free = len(isolated_indices(cs))
     active = sorted(set(range(1, cs.k + 1)) - isolated_indices(cs))
     if not active:
         return x**cs.k
-    return _scan(cs, x, active) * x**free
+    total = 0
 
+    def visit(prefix: list[int], hits: np.ndarray) -> None:
+        nonlocal total
+        total += int(np.count_nonzero(hits))
 
-def _scan(cs: ConditionSet, x: int, active: list[int]) -> int:
-    conds = cs.conditions
-    values = [c.value for c in conds]
-    last_active = active[-1]
-    by_pos: dict[int, list[tuple[int, bool]]] = {i: [] for i in active}
-    for ci, c in enumerate(conds):
-        last = max(c.indices)
-        for i in c.indices:
-            by_pos[i].append((ci, i == last))
-
-    ns = np.arange(1, x + 1, dtype=np.int64)
-    partial = [0] * len(conds)
-
-    def walk(pos: int) -> int:
-        i = active[pos]
-        if i == last_active:
-            mask = np.ones(x, dtype=bool)
-            for ci, complete in by_pos[i]:
-                g = np.gcd(partial[ci], ns)
-                mask &= g == values[ci] if complete else g % values[ci] == 0
-            return int(mask.sum())
-        total = 0
-        for n in range(1, x + 1):
-            saved = []
-            ok = True
-            for ci, complete in by_pos[i]:
-                g = gcd(partial[ci], n)
-                if (g != values[ci]) if complete else (g % values[ci] != 0):
-                    ok = False
-                    break
-                saved.append((ci, partial[ci]))
-                partial[ci] = g
-            if ok:
-                total += walk(pos + 1)
-            for ci, old in saved:
-                partial[ci] = old
-        return total
-
-    return walk(0)
+    pruned_walk(cs, active, x, visit)
+    return total * x ** (cs.k - len(active))
 
 
 def nymann_count(k: int, x: int) -> int:

@@ -21,7 +21,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, exp, fsum, log
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .model import (
     neighbors,
 )
 from .padic import LocalView, local_view, relevant_primes
-from .primes import prime_blocks
+from .primes import prime_blocks, primes_up_to
 
 # Independent-subset sums are exponential in the cover size.
 MAX_COVER = 24
@@ -167,6 +167,29 @@ def _log_fraction(f: Fraction) -> float:
     return log(f.numerator) - log(f.denominator)
 
 
+def _euler_product(
+    poly: FactorPolynomial, cutoff: int, exact: Sequence[tuple[int, Fraction]] = ()
+) -> tuple[float, int]:
+    """Product of poly(1/p) over the primes p <= cutoff, with the `exact`
+    (p, factor) pairs in place of theirs; also the largest prime <= cutoff.
+
+    Logs are summed by `fsum` per sieve block, then over blocks, so the
+    block boundaries fix the value bit for bit: callers with the same
+    coefficients and cutoff get the same value.
+    """
+    skip = sorted(p for p, _ in exact)
+    log_blocks = [_log_fraction(f) for _, f in exact]
+    largest = 0
+    for block in prime_blocks(cutoff):
+        largest = int(block[-1])
+        if skip:
+            block = block[~np.isin(block, skip)]
+            if block.size == 0:
+                continue
+        log_blocks.append(fsum(np.log(poly(1.0 / block))))
+    return exp(fsum(log_blocks)), largest
+
+
 def constant(
     cs: ConditionSet,
     cover: Iterable[int] | None = None,
@@ -208,29 +231,13 @@ def constant(
             raise AssertionError(f"internal invariant violated: nonpositive factor at p={p}")
         special_factors.append((p, f))
 
-    special_set = frozenset(special)
-    log_blocks = [_log_fraction(f) for _, f in special_factors]
-    largest = 0
-    trace_small: list[tuple[int, Fraction]] = []
-    for block in prime_blocks(cutoff):
-        largest = int(block[-1])
-        if trace and int(block[0]) < _TRACE_LIMIT:
-            for p in block[block < _TRACE_LIMIT]:
-                if int(p) not in special_set:
-                    trace_small.append((int(p), poly.value_at(int(p))))
-        if special_set:
-            block = block[~np.isin(block, sorted(special_set))]
-            if block.size == 0:
-                continue
-        vals = poly(1.0 / block)
-        log_blocks.append(fsum(np.log(vals)))
-
-    total = fsum(log_blocks)
-    value = exp(total)
+    value, largest = _euler_product(poly, cutoff, special_factors)
     slack = 2.0 * tail_c / cutoff if tail_c else 0.0
     factor_trace = None
     if trace:
-        factor_trace = tuple(sorted(special_factors + trace_small))
+        small = primes_up_to(min(cutoff, _TRACE_LIMIT - 1))
+        generic = [(int(p), poly.value_at(int(p))) for p in small if int(p) not in special]
+        factor_trace = tuple(sorted(special_factors + generic))
     return DensityResult(
         value=value,
         lower=value * exp(-slack),
@@ -238,18 +245,6 @@ def constant(
         prime_cutoff=largest,
         factor_trace=factor_trace,
     )
-
-
-def _truncated_poly_product(poly: FactorPolynomial, cutoff: int) -> float:
-    """prod of poly(1/p) over primes p <= cutoff, via block-wise fsum of logs.
-
-    Shares the evaluation pipeline of `constant`, so a system whose generic
-    polynomial has the same coefficients yields bit-identical values.
-    """
-    log_blocks = []
-    for block in prime_blocks(cutoff):
-        log_blocks.append(fsum(np.log(poly(1.0 / block))))
-    return exp(fsum(log_blocks))
 
 
 def toth_pairwise_constant(k: int, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> float:
@@ -267,7 +262,7 @@ def toth_pairwise_constant(k: int, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> 
         c = comb(k - 1, j) * (-1) ** j
         coeffs[j] += c
         coeffs[j + 1] += c * (k - 1)
-    return _truncated_poly_product(FactorPolynomial(tuple(coeffs)), prime_cutoff)
+    return _euler_product(FactorPolynomial(tuple(coeffs)), prime_cutoff)[0]
 
 
 def rwise_constant(k: int, r: int, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> float:
@@ -285,4 +280,4 @@ def rwise_constant(k: int, r: int, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> 
         cx = comb(k, x)
         for j in range(k - x + 1):
             coeffs[x + j] += cx * comb(k - x, j) * (-1) ** j
-    return _truncated_poly_product(FactorPolynomial(tuple(coeffs)), prime_cutoff)
+    return _euler_product(FactorPolynomial(tuple(coeffs)), prime_cutoff)[0]

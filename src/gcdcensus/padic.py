@@ -14,7 +14,6 @@ simultaneously.  The density module consumes these views prime by prime.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Iterable
 
 from .errors import InadmissibleError
@@ -106,8 +105,13 @@ def _pinned(cs: ConditionSet, g, v) -> frozenset[int]:
     return frozenset(out)
 
 
-@lru_cache(maxsize=None)
-def _reduced_view(cs: ConditionSet, p: int) -> LocalView:
+def reduce(cs: ConditionSet, p: int) -> LocalView:
+    """The residual all-targets-one system at p, without a cover.
+
+    Only meaningful for admissible systems (the caller's responsibility);
+    a residual edge shrinking below two members raises InadmissibleError,
+    since that can only happen when no solution exists.
+    """
     g, v = valuations(cs, p)
     z = _pinned(cs, g, v)
     s_p = frozenset(range(1, cs.k + 1)) - z
@@ -126,16 +130,6 @@ def _reduced_view(cs: ConditionSet, p: int) -> LocalView:
     return LocalView(p=int(p), g=g, v=v, z_set=z, s_p=s_p, reduced=reduced, i_set=i_set)
 
 
-def reduce(cs: ConditionSet, p: int) -> LocalView:
-    """The residual all-targets-one system at p, without a cover.
-
-    Only meaningful for admissible systems (the caller's responsibility);
-    a residual edge shrinking below two members raises InadmissibleError,
-    since that can only happen when no solution exists.
-    """
-    return _reduced_view(cs, int(p))
-
-
 def local_view(cs: ConditionSet, p: int, cover: Iterable[int]) -> LocalView:
     """Full per-prime view, including the cover w_p of the residual system.
 
@@ -148,7 +142,7 @@ def local_view(cs: ConditionSet, p: int, cover: Iterable[int]) -> LocalView:
     if w & isolated_indices(cs):
         bad = sorted(w & isolated_indices(cs))
         raise ValueError(f"cover must exclude isolated indices, found {bad}")
-    base = _reduced_view(cs, int(p))
+    base = reduce(cs, p)
     w_p = w - (base.z_set | base.i_set)
     if not is_cover(base.reduced, w_p):
         raise AssertionError(

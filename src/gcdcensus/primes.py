@@ -20,6 +20,9 @@ _TRIAL_LIMIT = 10**6
 # Witnesses proving primality for all n < 3_317_044_064_679_887_385_961_981.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# Sieve segment length; it fixes the blocks of the bit-reproducible sums.
+_BLOCK_SIZE = 1 << 20
+
 
 def primes_up_to(n: int) -> np.ndarray:
     """All primes <= n as an int64 array (simple full sieve)."""
@@ -33,13 +36,12 @@ def primes_up_to(n: int) -> np.ndarray:
     return np.nonzero(sieve)[0].astype(np.int64)
 
 
-def prime_blocks(limit: int, block_size: int = 1 << 20) -> Iterator[np.ndarray]:
+def prime_blocks(limit: int) -> Iterator[np.ndarray]:
     """Yield the primes <= limit as consecutive int64 arrays.
 
-    Segmented sieve of Eratosthenes: memory stays O(block_size + sqrt(limit))
-    however large the cutoff is.  For fixed (limit, block_size) the block
-    boundaries are fixed, so block-wise reductions over the output are
-    reproducible.
+    Segmented sieve of Eratosthenes: memory stays O(_BLOCK_SIZE + sqrt(limit))
+    however large the cutoff is.  For a fixed limit the block boundaries
+    are fixed, so block-wise reductions over the output are reproducible.
     """
     if limit < 2:
         return
@@ -49,7 +51,7 @@ def prime_blocks(limit: int, block_size: int = 1 << 20) -> Iterator[np.ndarray]:
     lo = isqrt(limit) + 1
     base_list = [int(p) for p in base]
     while lo <= limit:
-        hi = min(lo + block_size, limit + 1)
+        hi = min(lo + _BLOCK_SIZE, limit + 1)
         segment = np.ones(hi - lo, dtype=bool)
         for p in base_list:
             start = ((lo + p - 1) // p) * p
@@ -71,7 +73,7 @@ def is_prime(n: int) -> bool:
     n = int(n)
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1

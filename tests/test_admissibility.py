@@ -70,12 +70,14 @@ class TestBruteForceFind:
             brute_force_find(condition_set(2, {(1, 2): 1}), 10**5)
 
     def test_lexicographic_order_matches_naive_scan(self):
-        for conds in [
-            {(1, 2): 2, (2, 3): 4},
-            {(1, 2): 3},
-            {(1, 3): 2, (2, 3): 2},
+        for k, conds in [
+            (3, {(1, 2): 2, (2, 3): 4}),
+            (3, {(1, 2): 3}),
+            (3, {(1, 3): 2, (2, 3): 2}),
+            (4, {(1, 3): 2, (3, 4): 3}),  # isolated index in the middle
+            (4, {(1, 2): 2}),  # isolated indices at the end
         ]:
-            cs = condition_set(3, conds)
+            cs = condition_set(k, conds)
             assert brute_force_find(cs, 8) == naive_first(cs, 8)
 
 

@@ -18,6 +18,7 @@ BAD = {
 }
 PAIR2 = {"k": 2, "conditions": [{"indices": [1, 2], "gcd": 1}]}
 CHAIN = {"k": 3, "conditions": [{"indices": [1, 2], "gcd": 1}, {"indices": [2, 3], "gcd": 1}]}
+SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]  # primes below 50
 
 
 @pytest.fixture
@@ -46,6 +47,10 @@ class TestParsing:
             parse_document('{"conditions": []}')
         with pytest.raises(ValueError, match=r"conditions\[0\].gcd"):
             parse_document('{"k": 2, "conditions": [{"indices": [1, 2], "gcd": "x"}]}')
+        for digits in ("\u0663", "\u00b2"):  # Arabic-Indic three, superscript two
+            doc = {"k": 2, "conditions": [{"indices": [1, 2], "gcd": digits}]}
+            with pytest.raises(ValueError, match=r"conditions\[0\].gcd"):
+                parse_document(json.dumps(doc))
         with pytest.raises(ValueError, match=r"conditions\[1\]"):
             parse_document(
                 '{"k": 2, "conditions": [{"indices": [1, 2], "gcd": 1}, {"indices": [1], "gcd": 1}]}'
@@ -113,6 +118,21 @@ class TestConstant:
         traced = {entry["p"]: entry for entry in doc["factor_trace"]}
         assert traced[2]["factor"] == "5/64"
         assert traced[2]["value"] == pytest.approx(5 / 64)
+
+    @pytest.mark.parametrize(
+        "doc, cutoff, expected",
+        [
+            (PAIR2, 2, [2]),
+            (GOOD, 30, SMALL_PRIMES[:10]),
+            # a target prime beyond the listed small primes is traced too
+            ({"k": 2, "conditions": [{"indices": [1, 2], "gcd": 53}]}, 60, SMALL_PRIMES + [53]),
+        ],
+    )
+    def test_trace_lists_primes_to_cutoff_and_targets(self, write_doc, capsys, doc, cutoff, expected):
+        path = write_doc(doc)
+        assert main(["constant", path, "--prime-bound", str(cutoff), "--trace", "--format", "json"]) == 0
+        traced = json.loads(capsys.readouterr().out)["factor_trace"]
+        assert [entry["p"] for entry in traced] == expected
 
     def test_cover_choice_does_not_change_value(self, write_doc, capsys):
         path = write_doc(CHAIN)
@@ -203,17 +223,3 @@ class TestStdinAndThreads:
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(PAIR2)))
         assert main(["count", "-", "--limit", "10"]) == 0
         assert "count 63" in capsys.readouterr().out
-
-    def test_threads_flag_does_not_change_output(self, write_doc, capsys):
-        path = write_doc(PAIR2)
-        assert main(["count", path, "--limit", "100"]) == 0
-        base = capsys.readouterr().out
-        assert main(["count", path, "--limit", "100", "--threads", "4"]) == 0
-        assert capsys.readouterr().out == base
-
-    def test_env_var_overrides_flag(self, write_doc, monkeypatch, capsys):
-        path = write_doc(PAIR2)
-        monkeypatch.setenv("GCDCENSUS_THREADS", "2")
-        assert main(["count", path, "--limit", "10", "--threads", "8"]) == 0
-        monkeypatch.setenv("GCDCENSUS_THREADS", "0")
-        assert main(["count", path, "--limit", "10"]) == 2

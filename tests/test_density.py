@@ -1,5 +1,6 @@
 """Local factors, the shared polynomial, and the truncated Euler product."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import pi
@@ -174,6 +175,8 @@ class TestConstant:
     def test_matches_toth_exactly(self):
         cs = condition_set(3, {(1, 2): 1, (1, 3): 1, (2, 3): 1})
         assert constant(cs, prime_cutoff=10**4).value == toth_pairwise_constant(3, 10**4)
+        cs = condition_set(5, {t: 1 for t in itertools.combinations(range(1, 6), 3)})
+        assert constant(cs, prime_cutoff=10**4).value == rwise_constant(5, 3, 10**4)
 
     def test_cover_independence_random_systems(self):
         rng = random.Random(99)
