@@ -27,19 +27,18 @@ import numpy as np
 
 from .admissibility import is_admissible
 from .errors import CutoffTooSmallError, InadmissibleError, ResourceLimitError
-from .model import (
-    ConditionSet,
-    enumerate_independent_subsets,
-    find_cover,
-    is_cover,
-    isolated_indices,
-    neighbors,
-)
+from .model import ConditionSet, find_cover, is_cover, isolated_indices
 from .padic import LocalView, local_view, relevant_primes
 from .primes import prime_blocks, primes_up_to
 
 # Independent-subset sums are exponential in the cover size.
 MAX_COVER = 24
+
+# Subset masks per numpy pass of the histogram; bounds its memory.
+_CHUNK = 1 << 16
+
+# The segmented sieve behind the product takes about 100 s to reach this.
+MAX_PRIME_CUTOFF = 10**10
 
 # Primes below this are listed in the optional factor trace.
 _TRACE_LIMIT = 50
@@ -95,13 +94,15 @@ class FactorPolynomial:
 
 @dataclass(frozen=True)
 class DensityResult:
-    """Truncated Euler product plus the certified enclosure of its limit."""
+    """Truncated Euler product, its certified enclosure, and the cover and C used."""
 
     value: float
     lower: float
     upper: float
     prime_cutoff: int
     factor_trace: tuple[tuple[int, Fraction], ...] | None = None
+    cover: frozenset[int] = frozenset()
+    tail_constant: int = 0
 
 
 def _check_cover(cs: ConditionSet, cover: Iterable[int]) -> frozenset[int]:
@@ -118,6 +119,44 @@ def _check_cover(cs: ConditionSet, cover: Iterable[int]) -> frozenset[int]:
     return w
 
 
+def _subset_histogram(cs: ConditionSet, cover: frozenset[int]) -> dict[tuple[int, int], int]:
+    """Count the independent subsets V of `cover` by (|V|, |M(V)|).
+
+    M(V) holds the indices outside the cover that some condition leaves V
+    by exactly.  A cover leaves each condition at most one outside index,
+    so independence and M(V) are per-condition tests on the cover's own
+    bit positions, run over all 2^|cover| masks in numpy chunks.
+    """
+    pos = {i: b for b, i in enumerate(sorted(cover))}
+    inner: list[int] = []  # conditions lying inside the cover
+    reach: dict[int, list[int]] = {}  # outside index -> inside parts of its conditions
+    for c in cs.conditions:
+        part = sum(1 << pos[i] for i in c.indices if i in pos)
+        outside = c.indices - cover
+        if outside:
+            (x,) = outside  # a cover leaves at most one
+            reach.setdefault(x, []).append(part)
+        else:
+            inner.append(part)
+    n, width = len(pos), len(reach) + 1
+    counts = np.zeros((n + 1) * width, dtype=np.int64)
+    for lo in range(0, 1 << n, _CHUNK):
+        masks = np.arange(lo, min(lo + _CHUNK, 1 << n), dtype=np.int64)
+        free = np.ones(masks.size, dtype=bool)
+        for part in inner:
+            free &= (masks & part) != part
+        masks = masks[free]
+        sizes = sum(((masks >> b) & 1 for b in range(n)), np.zeros_like(masks))
+        key = sizes * width
+        for parts in reach.values():
+            hit = np.zeros(masks.size, dtype=bool)
+            for part in parts:
+                hit |= (masks & part) == part
+            key += hit
+        counts += np.bincount(key, minlength=counts.size)
+    return {divmod(i, width): int(c) for i, c in enumerate(counts) if c}
+
+
 def local_factor(view: LocalView) -> Fraction:
     """Exact local factor of the density constant at view.p.
 
@@ -125,7 +164,8 @@ def local_factor(view: LocalView) -> Fraction:
     the residual system, of p^{-|V|} (1-1/p)^{|w_p| - |V| + |M(V)| + |z_set|}
     with M(V) the residual neighbors of V outside w_p.  This is exactly
     the probability that independent geometric p-adic orders (order a with
-    probability (1-1/p) p^-a) satisfy every condition at p.
+    probability (1-1/p) p^-a) satisfy every condition at p.  It is folded
+    exactly from the (|V|, |M(V)|) histogram of those V, at most (k+1)^2 terms.
     """
     if view.w_p is None:
         raise ValueError("local view carries no cover; build it with local_view(cs, p, cover)")
@@ -135,13 +175,10 @@ def local_factor(view: LocalView) -> Fraction:
         )
     p = view.p
     one_minus = Fraction(p - 1, p)
-    w_p = view.w_p
-    pinned = len(view.z_set)
+    rest = len(view.w_p) + len(view.z_set)
     total = Fraction(0)
-    for v_sub in enumerate_independent_subsets(view.reduced, w_p):
-        m = neighbors(view.reduced, v_sub) - w_p
-        exponent = len(w_p) - len(v_sub) + len(m) + pinned
-        total += Fraction(1, p ** len(v_sub)) * one_minus**exponent
+    for (size, outside), count in _subset_histogram(view.reduced, view.w_p).items():
+        total += count * Fraction(1, p**size) * one_minus ** (rest - size + outside)
     return total / Fraction(p) ** sum(view.v.values())
 
 
@@ -153,12 +190,10 @@ def generic_factor_polynomial(cs: ConditionSet, cover: Iterable[int]) -> FactorP
     """
     w = _check_cover(cs, cover)
     coeffs = [0] * (cs.k + 1)
-    for v_sub in enumerate_independent_subsets(cs, w):
-        m = neighbors(cs, v_sub) - w
-        e = len(w) - len(v_sub) + len(m)
-        shift = len(v_sub)
+    for (size, outside), count in _subset_histogram(cs, w).items():
+        e = len(w) - size + outside
         for j in range(e + 1):
-            coeffs[shift + j] += comb(e, j) * (-1) ** j
+            coeffs[size + j] += count * comb(e, j) * (-1) ** j
     return FactorPolynomial(tuple(coeffs))
 
 
@@ -207,13 +242,15 @@ def constant(
     Raises InadmissibleError for systems with no solutions, and
     CutoffTooSmallError / ResourceLimitError on guard violations.
     """
+    cutoff = operator.index(prime_cutoff)
+    if cutoff > MAX_PRIME_CUTOFF:
+        raise ResourceLimitError(f"prime cutoff {cutoff} exceeds the {MAX_PRIME_CUTOFF} limit")
     report = is_admissible(cs)
     if not report:
         raise InadmissibleError(*report.violation)
     w = _check_cover(cs, cover) if cover is not None else _check_cover(cs, find_cover(cs))
     poly = generic_factor_polynomial(cs, w)
     tail_c = poly.tail_constant
-    cutoff = operator.index(prime_cutoff)
     special = relevant_primes(cs)
     if special and cutoff < special[-1]:
         raise CutoffTooSmallError(
@@ -244,6 +281,8 @@ def constant(
         upper=value * exp(slack),
         prime_cutoff=largest,
         factor_trace=factor_trace,
+        cover=w,
+        tail_constant=tail_c,
     )
 
 

@@ -168,8 +168,7 @@ def mobius_up_to(n: int) -> np.ndarray:
     if n < 0:
         raise ValueError("bound must be nonnegative")
     mu = np.ones(n + 1, dtype=np.int8)
-    if n >= 0:
-        mu[0] = 0
+    mu[0] = 0
     for p in primes_up_to(n):
         p = int(p)
         mu[p::p] *= -1

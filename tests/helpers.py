@@ -3,7 +3,8 @@
 Everything here is deliberately independent of the library's computation
 paths: the enumeration oracle walks tuples with itertools and math.gcd,
 the local-factor oracle sums capped geometric valuation probabilities
-directly, and the Mobius oracle factors by trial division.
+directly, the subset-sum oracles walk every independent subset one by
+one, and the Mobius oracle factors by trial division.
 """
 
 from __future__ import annotations
@@ -11,11 +12,14 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 from hypothesis import strategies as st
 
 from gcdcensus import Condition, ConditionSet, condition_set
+from gcdcensus.density import FactorPolynomial
+from gcdcensus.model import enumerate_independent_subsets, neighbors
+from gcdcensus.padic import LocalView
 
 
 def naive_count(cs: ConditionSet, x: int) -> int:
@@ -98,6 +102,28 @@ def valuation_probability(cs: ConditionSet, p: int) -> Fraction:
                 weight *= prob(a)
             total += weight
     return total
+
+
+def naive_factor_polynomial(cs: ConditionSet, w) -> FactorPolynomial:
+    """The shared factor polynomial, one independent subset at a time."""
+    w = frozenset(w)
+    coeffs = [0] * (cs.k + 1)
+    for v_sub in enumerate_independent_subsets(cs, w):
+        e = len(w) - len(v_sub) + len(neighbors(cs, v_sub) - w)
+        for j in range(e + 1):
+            coeffs[len(v_sub) + j] += comb(e, j) * (-1) ** j
+    return FactorPolynomial(tuple(coeffs))
+
+
+def naive_local_factor(view: LocalView) -> Fraction:
+    """The local factor at view.p, one independent subset at a time."""
+    p, w_p = view.p, view.w_p
+    total = Fraction(0)
+    for v_sub in enumerate_independent_subsets(view.reduced, w_p):
+        m = neighbors(view.reduced, v_sub) - w_p
+        exponent = len(w_p) - len(v_sub) + len(m) + len(view.z_set)
+        total += Fraction(1, p ** len(v_sub)) * Fraction(p - 1, p) ** exponent
+    return total / Fraction(p) ** sum(view.v.values())
 
 
 def random_admissible(rng: random.Random, max_k: int = 6, max_base: int = 60) -> ConditionSet:

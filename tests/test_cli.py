@@ -149,6 +149,14 @@ class TestConstant:
         doc = {"k": 2, "conditions": [{"indices": [1, 2], "gcd": 101}]}
         assert main(["constant", write_doc(doc), "--prime-bound", "50"]) == 3
 
+    def test_cutoff_above_limit_is_resource_exit(self, write_doc, capsys):
+        path = write_doc(PAIR2)
+        for cmd in (["constant", path], ["verify", path, "--limit", "10"]):
+            assert main(cmd + ["--prime-bound", str(10**10 + 1)]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "10000000000" in captured.err
+
 
 class TestCountVerify:
     def test_count_text(self, write_doc, capsys):

@@ -3,7 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import pi
+from math import comb, pi
 
 import pytest
 from hypothesis import given, settings
@@ -25,10 +25,17 @@ from gcdcensus import (
     rwise_constant,
     toth_pairwise_constant,
 )
-from gcdcensus.density import FactorPolynomial
+from gcdcensus import density
+from gcdcensus.density import MAX_PRIME_CUTOFF, FactorPolynomial
 from gcdcensus.primes import primes_up_to
 
-from helpers import admissible_condition_sets, random_admissible, valuation_probability
+from helpers import (
+    admissible_condition_sets,
+    naive_factor_polynomial,
+    naive_local_factor,
+    random_admissible,
+    valuation_probability,
+)
 
 ZETA2 = pi**2 / 6
 INV_ZETA3 = 0.8319073725807075  # 1/zeta(3), float64
@@ -124,6 +131,56 @@ class TestGenericFactorPolynomial:
         b = generic_factor_polynomial(cs, {1, 3})
         assert a.coefficients == b.coefficients
 
+    def test_path_k40_matches_independent_set_count(self):
+        # consecutive-coprime 40-tuples: a path has C(41 - j, j) independent
+        # sets of size j, and each contributes t^j (1-t)^(40-j)
+        cs = condition_set(40, {(i, i + 1): 1 for i in range(1, 40)})
+        w = find_cover(cs)
+        assert len(w) == 20
+        coeffs = [0] * 41
+        for j in range(21):
+            for i in range(41 - j):
+                coeffs[j + i] += comb(41 - j, j) * comb(40 - j, i) * (-1) ** i
+        assert generic_factor_polynomial(cs, w) == FactorPolynomial(tuple(coeffs))
+
+
+class TestSubsetHistogramKernel:
+    """The vectorized subset sums against the one-subset-at-a-time loops."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        # four masks per chunk, so every cover of three or more indices
+        # crosses chunk boundaries
+        monkeypatch.setattr(density, "_CHUNK", 4)
+
+    @staticmethod
+    def covers(cs):
+        return find_cover(cs), frozenset(range(1, cs.k + 1)) - isolated_indices(cs)
+
+    def assert_matches_loops(self, cs, primes):
+        for w in self.covers(cs):
+            assert generic_factor_polynomial(cs, w) == naive_factor_polynomial(cs, w)
+            for p in primes:
+                view = local_view(cs, p, w)
+                assert local_factor(view) == naive_local_factor(view)
+
+    def test_random_systems(self):
+        rng = random.Random(20261017)
+        for _ in range(60):
+            cs = random_admissible(rng, max_k=9, max_base=40)
+            self.assert_matches_loops(cs, relevant_primes(cs) + (2, 7))
+
+    def test_cover_containing_index_64(self):
+        cs = condition_set(
+            64, {(1, 64): 1, (33, 64): 1, (63, 64): 2, (62, 63, 64): 1, (40, 41): 3}
+        )
+        assert all(64 in w for w in self.covers(cs))
+        self.assert_matches_loops(cs, (2, 3, 5))
+
+    def test_pinned_cascade_at_two(self):
+        cs = condition_set(5, {(1, 2, 3): 1, (3, 4): 2, (4, 5): 4})
+        self.assert_matches_loops(cs, (2,))
+
 
 class TestConstant:
     def test_zeta2(self):
@@ -164,6 +221,24 @@ class TestConstant:
         cs = condition_set(30, {(i, j): 1 for i in range(1, 31) for j in range(i + 1, 31)})
         with pytest.raises(ResourceLimitError):
             constant(cs, prime_cutoff=10**4)
+
+    def test_prime_cutoff_above_limit_rejected_before_sieving(self, monkeypatch):
+        def no_sieve(limit):
+            raise AssertionError(f"sieved to {limit}")
+
+        monkeypatch.setattr(density, "prime_blocks", no_sieve)
+        monkeypatch.setattr(density, "primes_up_to", no_sieve)
+        with pytest.raises(ResourceLimitError, match=str(MAX_PRIME_CUTOFF)):
+            constant(condition_set(2, {(1, 2): 1}), prime_cutoff=MAX_PRIME_CUTOFF + 1)
+
+    def test_result_carries_cover_and_tail_constant(self):
+        cs = condition_set(3, {(1, 2): 6, (2, 3): 10})
+        res = constant(cs, prime_cutoff=10**4)
+        assert res.cover == find_cover(cs)
+        assert res.tail_constant == generic_factor_polynomial(cs, res.cover).tail_constant
+        res = constant(cs, cover={1, 3}, prime_cutoff=10**4)
+        assert res.cover == {1, 3}
+        assert res.tail_constant == generic_factor_polynomial(cs, {1, 3}).tail_constant > 0
 
     def test_trace_contents(self):
         res = constant(condition_set(3, {(1, 2): 6, (2, 3): 10}), prime_cutoff=10**4, trace=True)
