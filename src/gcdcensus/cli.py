@@ -28,6 +28,15 @@ def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
+def _report(args, fields: dict) -> None:
+    """Print `fields` as one JSON object, or as `name value` lines."""
+    if args.format == "json":
+        print(json.dumps(fields))
+        return
+    for name, value in fields.items():
+        print(f"{name} {_fmt(value) if isinstance(value, float) else value}")
+
+
 def _fmt_indices(indices) -> str:
     return "{" + ",".join(str(i) for i in sorted(indices)) + "}"
 
@@ -137,39 +146,25 @@ def _cmd_constant(args) -> int:
         prime_cutoff=args.prime_bound,
         trace=args.trace,
     )
+    fields = {
+        "value": result.value,
+        "lower": result.lower,
+        "upper": result.upper,
+        "prime_cutoff": result.prime_cutoff,
+    }
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "value": result.value,
-                    "lower": result.lower,
-                    "upper": result.upper,
-                    "prime_cutoff": result.prime_cutoff,
-                    "factor_trace": _trace_json(result.factor_trace),
-                }
-            )
-        )
+        _report(args, {**fields, "factor_trace": _trace_json(result.factor_trace)})
         return 0
-    print(f"value {_fmt(result.value)}")
-    print(f"lower {_fmt(result.lower)}")
-    print(f"upper {_fmt(result.upper)}")
-    print(f"prime_cutoff {result.prime_cutoff}")
-    if result.factor_trace is not None:
-        for p, f in result.factor_trace:
-            print(f"factor {p} {f.numerator}/{f.denominator} {_fmt(float(f))}")
+    _report(args, fields)
+    for p, f in result.factor_trace or ():
+        print(f"factor {p} {f.numerator}/{f.denominator} {_fmt(float(f))}")
     return 0
 
 
 def _cmd_count(args) -> int:
     cs = _load(args.file)
     n = counting.count(cs, args.limit)
-    dens = n / args.limit**cs.k
-    if args.format == "json":
-        print(json.dumps({"x": args.limit, "count": n, "density": dens}))
-        return 0
-    print(f"x {args.limit}")
-    print(f"count {n}")
-    print(f"density {_fmt(dens)}")
+    _report(args, {"x": args.limit, "count": n, "density": n / args.limit**cs.k})
     return 0
 
 
@@ -178,31 +173,19 @@ def _cmd_verify(args) -> int:
     cover = _parse_ints(args.cover, "--cover")
     result = density.constant(cs, cover=cover, prime_cutoff=args.prime_bound)
     report = counting.empirical_report(cs, args.limit, result)
-    gap = abs(report.density - report.constant)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "x": report.x,
-                    "count": report.count,
-                    "density": report.density,
-                    "constant": report.constant,
-                    "gap": gap,
-                    "normalized_error": report.normalized_error,
-                    "sharper_log_exponent": report.sharper_log_exponent,
-                    "sharper_normalized_error": report.sharper_normalized_error,
-                }
-            )
-        )
-        return 0
-    print(f"x {report.x}")
-    print(f"count {report.count}")
-    print(f"density {_fmt(report.density)}")
-    print(f"constant {_fmt(report.constant)}")
-    print(f"gap {_fmt(gap)}")
-    print(f"normalized_error {_fmt(report.normalized_error)}")
-    print(f"sharper_log_exponent {report.sharper_log_exponent}")
-    print(f"sharper_normalized_error {_fmt(report.sharper_normalized_error)}")
+    _report(
+        args,
+        {
+            "x": report.x,
+            "count": report.count,
+            "density": report.density,
+            "constant": report.constant,
+            "gap": abs(report.density - report.constant),
+            "normalized_error": report.normalized_error,
+            "sharper_log_exponent": report.sharper_log_exponent,
+            "sharper_normalized_error": report.sharper_normalized_error,
+        },
+    )
     return 0
 
 

@@ -1,18 +1,16 @@
 """The density constant as a truncated Euler product with a certified tail.
 
 The fraction of k-tuples in [1, x]^k satisfying an admissible condition
-system tends to a constant: a product over all primes of exact rational
-local factors.  Each local factor is the probability that independent
-geometrically-distributed p-adic orders meet every condition at p, and is
-evaluated from a per-prime LocalView by summing over independent subsets
-of the residual cover.
-
-All but the finitely many primes dividing some target share one
-polynomial in t = 1/p with integer coefficients, whose constant term is 1
-and whose linear term cancels; the product therefore converges like
-sum 1/p^2.  Truncating at P >= 2C, where C is the sum of |c_j| for
-j >= 2, leaves at most 2C/P in the logarithm, which certifies the
-enclosing interval reported alongside the value.
+system tends to a product over the primes of exact local factors: the
+probability that independent geometric p-adic orders meet every
+condition at p.  One fold over the independent subsets of a cover gives
+a polynomial in t = 1/p with integer coefficients, c_0 = 1 and c_1 = 0.
+On the source system it is the factor at every prime dividing no target;
+on a LocalView's residual system, at t = 1/p and times the pinned
+prefactor, it is the exact factor at p.  Target primes and primes below
+50 enter the product exactly, the rest in floats.  Convergence is like
+sum 1/p^2: truncating at P >= 2C, with C the sum of |c_j| for j >= 2,
+leaves at most 2C/P in the logarithm and certifies the reported interval.
 """
 
 from __future__ import annotations
@@ -21,13 +19,13 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, exp, fsum, log
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .admissibility import is_admissible
 from .errors import CutoffTooSmallError, InadmissibleError, ResourceLimitError
-from .model import ConditionSet, find_cover, is_cover, isolated_indices
+from .model import ConditionSet, check_cover, find_cover
 from .padic import LocalView, local_view, relevant_primes
 from .primes import prime_blocks, primes_up_to
 
@@ -40,7 +38,7 @@ _CHUNK = 1 << 16
 # The segmented sieve behind the product takes about 100 s to reach this.
 MAX_PRIME_CUTOFF = 10**10
 
-# Primes below this are listed in the optional factor trace.
+# Primes below this get exact factors, as float poly(1/p) cancels there, and are traced.
 _TRACE_LIMIT = 50
 
 DEFAULT_PRIME_CUTOFF = 10**6
@@ -78,11 +76,10 @@ class FactorPolynomial:
 
     def value_at(self, p: int) -> Fraction:
         """Exact value at t = 1/p."""
-        t = Fraction(1, p)
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * t + c
-        return acc
+        acc = 0
+        for c in self.coefficients:  # Horner in p gives p^degree times the value
+            acc = acc * p + c
+        return Fraction(acc, p**self.degree)
 
     def __call__(self, t):
         """Float value at t; accepts scalars or numpy arrays."""
@@ -105,20 +102,6 @@ class DensityResult:
     tail_constant: int = 0
 
 
-def _check_cover(cs: ConditionSet, cover: Iterable[int]) -> frozenset[int]:
-    w = frozenset(cover)
-    if not is_cover(cs, w):
-        raise ValueError(f"{sorted(w)} is not a cover of the condition system")
-    iso = w & isolated_indices(cs)
-    if iso:
-        raise ValueError(f"cover must exclude isolated indices, found {sorted(iso)}")
-    if len(w) > MAX_COVER:
-        raise ResourceLimitError(
-            f"cover of size {len(w)} exceeds the {MAX_COVER}-index limit on subset sums"
-        )
-    return w
-
-
 def _subset_histogram(cs: ConditionSet, cover: frozenset[int]) -> dict[tuple[int, int], int]:
     """Count the independent subsets V of `cover` by (|V|, |M(V)|).
 
@@ -127,6 +110,10 @@ def _subset_histogram(cs: ConditionSet, cover: frozenset[int]) -> dict[tuple[int
     so independence and M(V) are per-condition tests on the cover's own
     bit positions, run over all 2^|cover| masks in numpy chunks.
     """
+    if len(cover) > MAX_COVER:
+        raise ResourceLimitError(
+            f"cover of size {len(cover)} exceeds the {MAX_COVER}-index limit on subset sums"
+        )
     pos = {i: b for b, i in enumerate(sorted(cover))}
     inner: list[int] = []  # conditions lying inside the cover
     reach: dict[int, list[int]] = {}  # outside index -> inside parts of its conditions
@@ -157,38 +144,8 @@ def _subset_histogram(cs: ConditionSet, cover: frozenset[int]) -> dict[tuple[int
     return {divmod(i, width): int(c) for i, c in enumerate(counts) if c}
 
 
-def local_factor(view: LocalView) -> Fraction:
-    """Exact local factor of the density constant at view.p.
-
-    Equals p^{-sum v} times the sum, over independent subsets V of w_p in
-    the residual system, of p^{-|V|} (1-1/p)^{|w_p| - |V| + |M(V)| + |z_set|}
-    with M(V) the residual neighbors of V outside w_p.  This is exactly
-    the probability that independent geometric p-adic orders (order a with
-    probability (1-1/p) p^-a) satisfy every condition at p.  It is folded
-    exactly from the (|V|, |M(V)|) histogram of those V, at most (k+1)^2 terms.
-    """
-    if view.w_p is None:
-        raise ValueError("local view carries no cover; build it with local_view(cs, p, cover)")
-    if len(view.w_p) > MAX_COVER:
-        raise ResourceLimitError(
-            f"residual cover of size {len(view.w_p)} exceeds the {MAX_COVER}-index limit"
-        )
-    p = view.p
-    one_minus = Fraction(p - 1, p)
-    rest = len(view.w_p) + len(view.z_set)
-    total = Fraction(0)
-    for (size, outside), count in _subset_histogram(view.reduced, view.w_p).items():
-        total += count * Fraction(1, p**size) * one_minus ** (rest - size + outside)
-    return total / Fraction(p) ** sum(view.v.values())
-
-
-def generic_factor_polynomial(cs: ConditionSet, cover: Iterable[int]) -> FactorPolynomial:
-    """Expand the shared local factor sum into a polynomial in t = 1/p.
-
-    Valid verbatim at every prime not dividing any target, where pinning
-    and reduction are trivial.  The cover must avoid isolated indices.
-    """
-    w = _check_cover(cs, cover)
+def _fold(cs: ConditionSet, w: frozenset[int]) -> FactorPolynomial:
+    """Sum of t^|V| (1-t)^(|w| - |V| + |M(V)|) over independent subsets V of w."""
     coeffs = [0] * (cs.k + 1)
     for (size, outside), count in _subset_histogram(cs, w).items():
         e = len(w) - size + outside
@@ -197,32 +154,68 @@ def generic_factor_polynomial(cs: ConditionSet, cover: Iterable[int]) -> FactorP
     return FactorPolynomial(tuple(coeffs))
 
 
+def local_factor(view: LocalView) -> Fraction:
+    """Exact local factor of the density constant at view.p.
+
+    The residual system's factor polynomial over w_p at t = 1/p, times the
+    pinned prefactor (1-1/p)^{|z_set|} p^{-sum v}: exactly the probability
+    that independent geometric p-adic orders (order a with probability
+    (1-1/p) p^-a) satisfy every condition at p.
+    """
+    if view.w_p is None:
+        raise ValueError("local view carries no cover; build it with local_view(cs, p, cover)")
+    p = view.p
+    residual = _fold(view.reduced, view.w_p).value_at(p)
+    return residual * Fraction(p - 1, p) ** len(view.z_set) / Fraction(p) ** sum(view.v.values())
+
+
+def generic_factor_polynomial(cs: ConditionSet, cover: Iterable[int]) -> FactorPolynomial:
+    """Expand the shared local factor sum into a polynomial in t = 1/p.
+
+    Valid verbatim at every prime not dividing any target, where pinning
+    and reduction are trivial.  The cover must avoid isolated indices.
+    """
+    return _fold(cs, check_cover(cs, cover))
+
+
 def _log_fraction(f: Fraction) -> float:
-    # math.log takes arbitrary-size ints, so this never overflows
-    return log(f.numerator) - log(f.denominator)
+    # float(f) is correctly rounded; math.log of the big ints never underflows
+    x = float(f)
+    return log(x) if x > 1e-300 else log(f.numerator) - log(f.denominator)
+
+
+def _checked_cutoff(prime_cutoff: int) -> int:
+    cutoff = operator.index(prime_cutoff)
+    if cutoff > MAX_PRIME_CUTOFF:
+        raise ResourceLimitError(f"prime cutoff {cutoff} exceeds the {MAX_PRIME_CUTOFF} limit")
+    return cutoff
 
 
 def _euler_product(
-    poly: FactorPolynomial, cutoff: int, exact: Sequence[tuple[int, Fraction]] = ()
-) -> tuple[float, int]:
-    """Product of poly(1/p) over the primes p <= cutoff, with the `exact`
-    (p, factor) pairs in place of theirs; also the largest prime <= cutoff.
+    poly: FactorPolynomial, cutoff: int, special: Iterable[tuple[int, Fraction]] = ()
+) -> tuple[float, int, dict[int, Fraction]]:
+    """Product of poly(1/p) over the primes p <= cutoff, with exact factors
+    at the `special` (p, factor) pairs and at the other primes below
+    _TRACE_LIMIT; also the largest prime <= cutoff and those exact factors.
 
     Logs are summed by `fsum` per sieve block, then over blocks, so the
     block boundaries fix the value bit for bit: callers with the same
     coefficients and cutoff get the same value.
     """
-    skip = sorted(p for p, _ in exact)
-    log_blocks = [_log_fraction(f) for _, f in exact]
+    exact = dict(special)
+    for p in map(int, primes_up_to(min(cutoff, _TRACE_LIMIT - 1))):
+        exact.setdefault(p, poly.value_at(p))
+    skip = sorted(exact)
+    log_blocks = [_log_fraction(f) for f in exact.values()]
     largest = 0
     for block in prime_blocks(cutoff):
         largest = int(block[-1])
-        if skip:
+        if block[0] <= skip[-1]:
             block = block[~np.isin(block, skip)]
             if block.size == 0:
                 continue
         log_blocks.append(fsum(np.log(poly(1.0 / block))))
-    return exp(fsum(log_blocks)), largest
+    return exp(fsum(log_blocks)), largest, exact
 
 
 def constant(
@@ -233,23 +226,21 @@ def constant(
 ) -> DensityResult:
     """Truncated Euler product for the density constant, with certified tail.
 
-    Exact rational factors are used at the primes dividing some target;
-    every other prime up to the cutoff goes through the shared polynomial
-    in float arithmetic, with the log-product accumulated by compensated
-    summation in fixed-size blocks (bit-reproducible).  The cutoff must
-    reach the largest target prime and 2C for the tail bound to apply.
+    Exact rational factors are used at the target primes and the primes
+    below 50; every other prime up to the cutoff goes through the shared
+    polynomial in float arithmetic, with the log-product accumulated by
+    compensated summation in fixed-size blocks (bit-reproducible).  The
+    cutoff must reach the largest target prime and 2C for the tail bound.
 
     Raises InadmissibleError for systems with no solutions, and
     CutoffTooSmallError / ResourceLimitError on guard violations.
     """
-    cutoff = operator.index(prime_cutoff)
-    if cutoff > MAX_PRIME_CUTOFF:
-        raise ResourceLimitError(f"prime cutoff {cutoff} exceeds the {MAX_PRIME_CUTOFF} limit")
+    cutoff = _checked_cutoff(prime_cutoff)
     report = is_admissible(cs)
     if not report:
         raise InadmissibleError(*report.violation)
-    w = _check_cover(cs, cover) if cover is not None else _check_cover(cs, find_cover(cs))
-    poly = generic_factor_polynomial(cs, w)
+    w = frozenset(find_cover(cs) if cover is None else cover)
+    poly = generic_factor_polynomial(cs, w)  # checks w
     tail_c = poly.tail_constant
     special = relevant_primes(cs)
     if special and cutoff < special[-1]:
@@ -268,19 +259,14 @@ def constant(
             raise AssertionError(f"internal invariant violated: nonpositive factor at p={p}")
         special_factors.append((p, f))
 
-    value, largest = _euler_product(poly, cutoff, special_factors)
+    value, largest, exact = _euler_product(poly, cutoff, special_factors)
     slack = 2.0 * tail_c / cutoff if tail_c else 0.0
-    factor_trace = None
-    if trace:
-        small = primes_up_to(min(cutoff, _TRACE_LIMIT - 1))
-        generic = [(int(p), poly.value_at(int(p))) for p in small if int(p) not in special]
-        factor_trace = tuple(sorted(special_factors + generic))
     return DensityResult(
         value=value,
         lower=value * exp(-slack),
         upper=value * exp(slack),
         prime_cutoff=largest,
-        factor_trace=factor_trace,
+        factor_trace=tuple(sorted(exact.items())) if trace else None,
         cover=w,
         tail_constant=tail_c,
     )
@@ -293,6 +279,7 @@ def toth_pairwise_constant(k: int, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> 
     integer coefficients first; cross-validation oracle for `constant` on
     the complete pairwise system.
     """
+    cutoff = _checked_cutoff(prime_cutoff)
     k = operator.index(k)
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
@@ -301,7 +288,7 @@ def toth_pairwise_constant(k: int, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> 
         c = comb(k - 1, j) * (-1) ** j
         coeffs[j] += c
         coeffs[j + 1] += c * (k - 1)
-    return _euler_product(FactorPolynomial(tuple(coeffs)), prime_cutoff)[0]
+    return _euler_product(FactorPolynomial(tuple(coeffs)), cutoff)[0]
 
 
 def rwise_constant(k: int, r: int, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> float:
@@ -310,6 +297,7 @@ def rwise_constant(k: int, r: int, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> 
     Truncated product over p of sum_{x=0}^{r-1} C(k,x) p^-x (1-1/p)^(k-x),
     expanded into exact integer coefficients first.
     """
+    cutoff = _checked_cutoff(prime_cutoff)
     k = operator.index(k)
     r = operator.index(r)
     if not 2 <= r <= k:
@@ -319,4 +307,4 @@ def rwise_constant(k: int, r: int, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> 
         cx = comb(k, x)
         for j in range(k - x + 1):
             coeffs[x + j] += cx * comb(k - x, j) * (-1) ** j
-    return _euler_product(FactorPolynomial(tuple(coeffs)), prime_cutoff)[0]
+    return _euler_product(FactorPolynomial(tuple(coeffs)), cutoff)[0]

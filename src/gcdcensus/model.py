@@ -136,6 +136,17 @@ def is_cover(cs: ConditionSet, cover: Iterable[int]) -> bool:
     return all((e & ~w).bit_count() <= 1 for e in cs.edge_masks)
 
 
+def check_cover(cs: ConditionSet, cover: Iterable[int]) -> frozenset[int]:
+    """`cover` as a frozenset, once it covers `cs` and avoids its isolated indices."""
+    w = frozenset(cover)
+    if not is_cover(cs, w):
+        raise ValueError(f"{sorted(w)} is not a cover of the condition system")
+    iso = w & isolated_indices(cs)
+    if iso:
+        raise ValueError(f"cover must exclude isolated indices, found {sorted(iso)}")
+    return w
+
+
 def neighbors(cs: ConditionSet, subset: Iterable[int]) -> frozenset[int]:
     """Indices x such that some condition sticks out of `subset` by exactly {x}."""
     w = _subset_mask(cs, subset)

@@ -20,6 +20,7 @@ from .errors import InadmissibleError
 from .model import (
     Condition,
     ConditionSet,
+    check_cover,
     is_cover,
     isolated_indices,
 )
@@ -136,12 +137,7 @@ def local_view(cs: ConditionSet, p: int, cover: Iterable[int]) -> LocalView:
     `cover` must cover the source system and avoid its isolated indices;
     w_p drops the pinned and residually-unconstrained coordinates from it.
     """
-    w = frozenset(cover)
-    if not is_cover(cs, w):
-        raise ValueError(f"{sorted(w)} is not a cover of the condition system")
-    if w & isolated_indices(cs):
-        bad = sorted(w & isolated_indices(cs))
-        raise ValueError(f"cover must exclude isolated indices, found {bad}")
+    w = check_cover(cs, cover)
     base = reduce(cs, p)
     w_p = w - (base.z_set | base.i_set)
     if not is_cover(base.reduced, w_p):

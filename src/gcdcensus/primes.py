@@ -25,15 +25,8 @@ _BLOCK_SIZE = 1 << 20
 
 
 def primes_up_to(n: int) -> np.ndarray:
-    """All primes <= n as an int64 array (simple full sieve)."""
-    if n < 2:
-        return np.empty(0, dtype=np.int64)
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.nonzero(sieve)[0].astype(np.int64)
+    """All primes <= n as one int64 array."""
+    return np.concatenate([np.empty(0, dtype=np.int64), *prime_blocks(n)])
 
 
 def prime_blocks(limit: int) -> Iterator[np.ndarray]:
@@ -45,7 +38,7 @@ def prime_blocks(limit: int) -> Iterator[np.ndarray]:
     """
     if limit < 2:
         return
-    base = primes_up_to(isqrt(limit))
+    base = primes_up_to(isqrt(limit))  # recursion ends below 4
     if base.size:
         yield base
     lo = isqrt(limit) + 1

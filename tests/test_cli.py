@@ -199,6 +199,15 @@ class TestCountVerify:
         assert {"x", "count", "density", "constant", "gap", "normalized_error"} <= set(doc)
         assert doc["gap"] <= 0.01
 
+    def test_verify_text_lines_follow_json_keys(self, write_doc, capsys):
+        argv = ["verify", write_doc(PAIR2), "--limit", "50", "--prime-bound", "1000"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert main([*argv, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [line.split(" ", 1)[0] for line in lines] == list(doc)
+        assert lines[1] == f"count {doc['count']}"
+
     def test_verify_informational_exit(self, write_doc):
         assert main(["verify", write_doc(PAIR2), "--limit", "10", "--prime-bound", "1000"]) == 0
 

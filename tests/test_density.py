@@ -3,7 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import comb, pi
+from math import comb, exp, fsum, log, log1p, pi
 
 import pytest
 from hypothesis import given, settings
@@ -59,6 +59,14 @@ class TestLocalFactor:
 
         with pytest.raises(ValueError):
             local_factor(reduce_at(condition_set(2, {(1, 2): 1}), 2))
+
+    def test_residual_cover_above_limit_rejected(self):
+        # complete pairwise k=26: the greedy cover keeps 25 indices at p=2
+        cs = condition_set(26, {t: 1 for t in itertools.combinations(range(1, 27), 2)})
+        view = local_view(cs, 2, find_cover(cs))
+        assert len(view.w_p) == 25
+        with pytest.raises(ResourceLimitError, match="cover of size 25 exceeds"):
+            local_factor(view)
 
     def test_pinned_index_inside_larger_condition(self):
         # the surviving min-constraint on {1,2} contributes (1 - 1/p^2)
@@ -297,6 +305,29 @@ class TestClosedFormOracles:
     def test_rwise_pairwise_matches_toth(self):
         assert rwise_constant(2, 2, 10**5) == toth_pairwise_constant(2, 10**5)
         assert rwise_constant(3, 2, 10**5) == toth_pairwise_constant(3, 10**5)
+
+    @pytest.mark.parametrize("k", [40, 64])
+    def test_large_k_matches_log1p_product(self, k):
+        # float poly(1/p) cancels at small p for these degrees; the products of
+        # (1-1/p)^(k-1) (1+(k-1)/p) and (1-1/p)^k sum_{x<3} C(k,x)/(p-1)^x,
+        # taken through log1p, do not
+        ps = [int(p) for p in primes_up_to(10**4)]
+        toth = exp(fsum((k - 1) * log1p(-1 / p) + log1p((k - 1) / p) for p in ps))
+        head = [log(sum(comb(k, x) / (p - 1) ** x for x in range(3))) for p in ps]
+        rwise = exp(fsum(k * log1p(-1 / p) + h for p, h in zip(ps, head)))
+        assert toth_pairwise_constant(k, 10**4) == pytest.approx(toth, rel=1e-12, abs=0)
+        assert rwise_constant(k, 3, 10**4) == pytest.approx(rwise, rel=1e-12, abs=0)
+
+    def test_cutoff_above_limit_rejected_before_sieving(self, monkeypatch):
+        def no_sieve(limit):
+            raise AssertionError(f"sieved to {limit}")
+
+        monkeypatch.setattr(density, "prime_blocks", no_sieve)
+        monkeypatch.setattr(density, "primes_up_to", no_sieve)
+        with pytest.raises(ResourceLimitError, match=str(MAX_PRIME_CUTOFF)):
+            toth_pairwise_constant(3, MAX_PRIME_CUTOFF + 1)
+        with pytest.raises(ResourceLimitError, match=str(MAX_PRIME_CUTOFF)):
+            rwise_constant(4, 3, MAX_PRIME_CUTOFF + 1)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
