@@ -8,7 +8,8 @@ a polynomial in t = 1/p with integer coefficients, c_0 = 1 and c_1 = 0.
 On the source system it is the factor at every prime dividing no target;
 on a LocalView's residual system, at t = 1/p and times the pinned
 prefactor, it is the exact factor at p.  Target primes and primes below
-50 enter the product exactly, the rest in floats.  Convergence is like
+50 enter the product exactly, the rest in floats, summed exactly per
+sieve block (math.fsum's value bit for bit).  Convergence is like
 sum 1/p^2: truncating at P >= 2C, with C the sum of |c_j| for j >= 2,
 leaves at most 2C/P in the logarithm and certifies the reported interval.
 """
@@ -35,7 +36,7 @@ MAX_COVER = 24
 # Subset masks per numpy pass of the histogram; bounds its memory.
 _CHUNK = 1 << 16
 
-# The segmented sieve behind the product takes about 100 s to reach this.
+# The segmented sieve behind the product takes about 55 s to reach this.
 MAX_PRIME_CUTOFF = 10**10
 
 # Primes below this get exact factors, as float poly(1/p) cancels there, and are traced.
@@ -184,6 +185,29 @@ def _log_fraction(f: Fraction) -> float:
     return log(x) if x > 1e-300 else log(f.numerator) - log(f.denominator)
 
 
+def _exact_sum(x: np.ndarray) -> float:
+    """The correctly rounded sum of x, so math.fsum(x) bit for bit.
+
+    Each nonzero x is m 2^(e-53) with an integer |m| < 2^53.  In exponent
+    windows of 10 bits the shifted m are summed as int64 halves below 2^36,
+    which cannot overflow for fewer than 2^26 terms; one Fraction rounds.
+    """
+    if not np.isfinite(x).all():
+        return float(x.sum())  # inf and nan have no exact sum; let them through
+    m, e = np.frexp(x[x != 0])
+    if not e.size:
+        return 0.0
+    m = np.ldexp(m, 53).astype(np.int64)
+    e0 = int(e.min())
+    window, shift = np.divmod(e - e0, 10)
+    total = 0
+    for w in range(int(window.max()) + 1):
+        ms, s = m[window == w], shift[window == w]
+        hi, lo = int(((ms >> 26) << s).sum()), int(((ms & 0x3FFFFFF) << s).sum())
+        total += ((hi << 26) + lo) << (10 * w)
+    return float(total * Fraction(2) ** (e0 - 53))
+
+
 def _checked_cutoff(prime_cutoff: int) -> int:
     cutoff = operator.index(prime_cutoff)
     if cutoff > MAX_PRIME_CUTOFF:
@@ -198,9 +222,10 @@ def _euler_product(
     at the `special` (p, factor) pairs and at the other primes below
     _TRACE_LIMIT; also the largest prime <= cutoff and those exact factors.
 
-    Logs are summed by `fsum` per sieve block, then over blocks, so the
-    block boundaries fix the value bit for bit: callers with the same
-    coefficients and cutoff get the same value.
+    Logs are summed by `_exact_sum` (= `fsum`, bit for bit) per sieve
+    block, then by `fsum` over blocks, so the block boundaries fix the
+    value bit for bit: callers with the same coefficients and cutoff get
+    the same value.
     """
     exact = dict(special)
     for p in map(int, primes_up_to(min(cutoff, _TRACE_LIMIT - 1))):
@@ -214,7 +239,7 @@ def _euler_product(
             block = block[~np.isin(block, skip)]
             if block.size == 0:
                 continue
-        log_blocks.append(fsum(np.log(poly(1.0 / block))))
+        log_blocks.append(_exact_sum(np.log(poly(1.0 / block))))
     return exp(fsum(log_blocks)), largest, exact
 
 
@@ -228,9 +253,9 @@ def constant(
 
     Exact rational factors are used at the target primes and the primes
     below 50; every other prime up to the cutoff goes through the shared
-    polynomial in float arithmetic, with the log-product accumulated by
-    compensated summation in fixed-size blocks (bit-reproducible).  The
-    cutoff must reach the largest target prime and 2C for the tail bound.
+    polynomial in float arithmetic, with the logs summed exactly per
+    fixed sieve block, as math.fsum would (bit-reproducible).  The cutoff
+    must reach the largest target prime and 2C for the tail bound.
 
     Raises InadmissibleError for systems with no solutions, and
     CutoffTooSmallError / ResourceLimitError on guard violations.

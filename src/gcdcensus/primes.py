@@ -1,7 +1,8 @@
 """Prime machinery: sieves, deterministic primality, integer factorization.
 
-Everything here is exact.  The sieves are numpy-backed because the Euler
-product in `density` consumes millions of primes; factorization uses trial
+Everything here is exact.  The Euler product in `density` consumes
+millions of primes from a numpy segmented sieve over odd numbers, 3-13
+presieved (Bays & Hudson, BIT 1977).  Factorization uses trial
 division for the common case of small targets, then a deterministic
 Miller-Rabin test and Brent's cycle-finding variant of Pollard's rho for
 large cofactors (targets beyond ~128 bits are outside the supported range).
@@ -23,36 +24,50 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Sieve segment length; it fixes the blocks of the bit-reproducible sums.
 _BLOCK_SIZE = 1 << 20
 
+_SMALL_PRIMES = np.array([2, 3, 5, 7, 11, 13], dtype=np.int64)
+_WHEEL = np.ones(15015, dtype=bool)  # j flags 2j+1 prime to 3*5*7*11*13, over one period
+for _q in _SMALL_PRIMES[1:].tolist():
+    _WHEEL[(_q - 1) // 2 :: _q] = False
+
 
 def primes_up_to(n: int) -> np.ndarray:
     """All primes <= n as one int64 array."""
-    return np.concatenate([np.empty(0, dtype=np.int64), *prime_blocks(n)])
+    return np.concatenate([np.empty(0, dtype=np.int64), *_segments(n)])
 
 
 def prime_blocks(limit: int) -> Iterator[np.ndarray]:
-    """Yield the primes <= limit as consecutive int64 arrays.
+    """Yield the primes <= limit as consecutive nonempty int64 arrays.
 
-    Segmented sieve of Eratosthenes: memory stays O(_BLOCK_SIZE + sqrt(limit))
-    however large the cutoff is.  For a fixed limit the block boundaries
-    are fixed, so block-wise reductions over the output are reproducible.
+    The primes <= isqrt(limit), then those in [lo, lo + _BLOCK_SIZE) for
+    lo = isqrt(limit) + 1 + j*_BLOCK_SIZE: fixed blocks, so block-wise
+    reductions are reproducible, in O(_BLOCK_SIZE + sqrt(limit)) memory.
     """
+    return _segments(limit)
+
+
+def _segments(limit: int) -> Iterator[np.ndarray]:
+    # Each segment is a slice of _WHEEL with the base primes above 13 crossed
+    # off.  Base primes recurse here, so prime_blocks sees top-level calls only.
     if limit < 2:
         return
     base = primes_up_to(isqrt(limit))  # recursion ends below 4
     if base.size:
         yield base
     lo = isqrt(limit) + 1
-    base_list = [int(p) for p in base]
+    sieving = base[base > _SMALL_PRIMES[-1]]
+    half, sieving_list = (sieving - 1) // 2, sieving.tolist()
+    pattern = np.resize(_WHEEL, _WHEEL.size + min(_BLOCK_SIZE, limit + 1 - lo) // 2 + 1)
     while lo <= limit:
         hi = min(lo + _BLOCK_SIZE, limit + 1)
-        segment = np.ones(hi - lo, dtype=bool)
-        for p in base_list:
-            start = ((lo + p - 1) // p) * p
-            if start < hi:
-                segment[start - lo :: p] = False
-        primes = np.nonzero(segment)[0]
+        a = lo // 2  # segment slot i holds the odd number 2(a + i) + 1
+        segment = pattern[a % _WHEEL.size :][: hi // 2 - a].copy()
+        for p, i in zip(sieving_list, ((half - a) % sieving).tolist()):
+            segment[i::p] = False
+        primes = np.flatnonzero(segment).astype(np.int64) * 2 + (2 * a + 1)
+        if lo < 17:  # 2 and the wheel primes are not in the pattern
+            primes = np.concatenate([_SMALL_PRIMES[(lo <= _SMALL_PRIMES) & (_SMALL_PRIMES < hi)], primes])
         if primes.size:
-            yield (primes + lo).astype(np.int64)
+            yield primes
         lo = hi
 
 

@@ -4,7 +4,8 @@ Everything here is deliberately independent of the library's computation
 paths: the enumeration oracle walks tuples with itertools and math.gcd,
 the local-factor oracle sums capped geometric valuation probabilities
 directly, the subset-sum oracles walk every independent subset one by
-one, and the Mobius oracle factors by trial division.
+one, the Euler-product oracle sums each sieve block with math.fsum, and
+the Mobius oracle factors by trial division.
 """
 
 from __future__ import annotations
@@ -12,14 +13,16 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, exp, fsum, gcd
 
+import numpy as np
 from hypothesis import strategies as st
 
 from gcdcensus import Condition, ConditionSet, condition_set
-from gcdcensus.density import FactorPolynomial
+from gcdcensus.density import _TRACE_LIMIT, FactorPolynomial, _log_fraction
 from gcdcensus.model import enumerate_independent_subsets, neighbors
 from gcdcensus.padic import LocalView
+from gcdcensus.primes import prime_blocks, primes_up_to
 
 
 def naive_count(cs: ConditionSet, x: int) -> int:
@@ -124,6 +127,24 @@ def naive_local_factor(view: LocalView) -> Fraction:
         exponent = len(w_p) - len(v_sub) + len(m) + len(view.z_set)
         total += Fraction(1, p ** len(v_sub)) * Fraction(p - 1, p) ** exponent
     return total / Fraction(p) ** sum(view.v.values())
+
+
+def naive_euler_product(poly: FactorPolynomial, cutoff: int, special=()):
+    """density._euler_product with each sieve block summed by math.fsum."""
+    exact = dict(special)
+    for p in map(int, primes_up_to(min(cutoff, _TRACE_LIMIT - 1))):
+        exact.setdefault(p, poly.value_at(p))
+    skip = sorted(exact)
+    log_blocks = [_log_fraction(f) for f in exact.values()]
+    largest = 0
+    for block in prime_blocks(cutoff):
+        largest = int(block[-1])
+        if block[0] <= skip[-1]:
+            block = block[~np.isin(block, skip)]
+            if block.size == 0:
+                continue
+        log_blocks.append(fsum(np.log(poly(1.0 / block))))
+    return exp(fsum(log_blocks)), largest, exact
 
 
 def random_admissible(rng: random.Random, max_k: int = 6, max_base: int = 60) -> ConditionSet:

@@ -1,5 +1,8 @@
 """Exact counters against independent enumeration and Mobius oracles."""
 
+import random
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,6 +79,34 @@ class TestCount:
         cs = condition_set(2, {(1, 2): 1})
         for x in (1, 2, 9, 24, 100):
             assert count(cs, x) == nymann_count(2, x)
+
+    # the slots of the count-sparse benchmark workload, whose jobs have no oracle
+    @pytest.mark.parametrize(
+        "name, k, edges",
+        [
+            ("path3-a", 3, [(1, 2), (2, 3)]),
+            ("path3-b", 3, [(1, 2), (2, 3)]),
+            ("path3-c", 3, [(1, 2), (2, 3)]),
+            ("vee3", 3, [(1, 2), (1, 3)]),
+            ("tri3", 3, [(1, 2), (2, 3), (1, 2, 3)]),
+            ("path4", 4, [(1, 2), (2, 3), (3, 4)]),
+            ("star4", 4, [(1, 2), (1, 3), (1, 4)]),
+            ("split4", 4, [(1, 2), (3, 4)]),
+            ("tail4", 4, [(1, 2, 3), (3, 4)]),
+        ],
+    )
+    def test_composite_targets_match_naive_enumeration(self, name, k, edges):
+        rng = random.Random(name)
+        for x in (40, 30) if k == 3 else (16, 12):
+            # gcds of a tuple of composites inside the box, so the count is
+            # positive; redrawn until every target is composite
+            while True:
+                base = [rng.choice((6, 10, 12, 14, 15, 18, 20, 21)) * rng.choice((1, 2, 3, 5)) for _ in range(k)]
+                targets = {e: gcd(*(base[i - 1] for i in e)) for e in edges}
+                if max(base) <= x and all(any(t % d == 0 for d in range(2, t)) for t in targets.values()):
+                    break
+            cs = condition_set(k, targets)
+            assert count(cs, x) == naive_count(cs, x) > 0
 
 
 class TestNymann:

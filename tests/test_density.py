@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from math import comb, exp, fsum, log, log1p, pi
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -31,6 +32,7 @@ from gcdcensus.primes import primes_up_to
 
 from helpers import (
     admissible_condition_sets,
+    naive_euler_product,
     naive_factor_polynomial,
     naive_local_factor,
     random_admissible,
@@ -336,3 +338,74 @@ class TestClosedFormOracles:
             rwise_constant(3, 4)
         with pytest.raises(ValueError):
             rwise_constant(3, 1)
+
+
+class TestExactSum:
+    """density._exact_sum must return math.fsum's double bit for bit."""
+
+    @staticmethod
+    def assert_fsum_bits(x):
+        assert density._exact_sum(x).hex() == fsum(x).hex()
+
+    @pytest.mark.parametrize("spread", [0, 1, 9, 10, 11, 30, 53, 80])
+    def test_seeded_mixed_signs_and_zeros(self, spread):
+        rng = np.random.default_rng(spread)
+        for n in (1, 2, 17, 1000, 20000):
+            x = rng.uniform(0.5, 1.0, n) * rng.choice((-1.0, 1.0), n)
+            x = np.ldexp(x, rng.integers(-spread // 2, spread - spread // 2 + 1, n) - 20)
+            x[rng.random(n) < 0.1] = 0.0
+            self.assert_fsum_bits(x)
+
+    def test_cancelling_terms(self):
+        x = np.array([1e16, 1.0, -1e16, 2.0**-60, -(2.0**-60), 3.0])
+        self.assert_fsum_bits(x)
+        self.assert_fsum_bits(np.array([1.0, -1.0]))
+
+    def test_empty_and_all_zero(self):
+        self.assert_fsum_bits(np.empty(0))
+        self.assert_fsum_bits(np.zeros(5))
+
+    def test_subnormals(self):
+        tiny = np.array([5e-324, 1e-310, -2.5e-320, 2.0**-1022, -(2.0**-1070), 1e-300])
+        self.assert_fsum_bits(tiny)
+        self.assert_fsum_bits(tiny[:3])
+        self.assert_fsum_bits(np.full(1000, 5e-324))
+
+    def test_long_block_cannot_overflow_int64(self):
+        # 2^20 mantissas of 2^53 - 1 would overflow a plain int64 sum
+        self.assert_fsum_bits(np.full(1 << 20, -0.9999999999999999))
+
+
+class TestEulerProductKernels:
+    """_euler_product against the per-block math.fsum loop, bit for bit."""
+
+    @staticmethod
+    def assert_same_bits(poly, cutoff, special=()):
+        value, largest, exact = density._euler_product(poly, cutoff, special)
+        naive_value, naive_largest, naive_exact = naive_euler_product(poly, cutoff, special)
+        assert (value.hex(), largest, exact) == (naive_value.hex(), naive_largest, naive_exact)
+
+    @pytest.mark.parametrize("cutoff", [2, 30, 10**4, 3 * 10**6])  # 3e6: three sieve segments
+    def test_closed_form_polynomials(self, monkeypatch, cutoff):
+        polys = []
+
+        def recording(poly, cutoff, special=()):
+            polys.append(poly)
+            return 1.0, 0, {}
+
+        monkeypatch.setattr(density, "_euler_product", recording)
+        for k in range(2, 13):
+            toth_pairwise_constant(k, cutoff)
+            for r in range(2, k + 1):
+                rwise_constant(k, r, cutoff)
+        monkeypatch.undo()
+        assert len(polys) == 11 + 66
+        for poly in dict.fromkeys(polys):  # Toth k equals r-wise (k, 2)
+            self.assert_same_bits(poly, cutoff)
+
+    @pytest.mark.parametrize("cutoff", [2, 30, 10**4, 3 * 10**6])
+    def test_pinned_cascade_with_special_factors(self, cutoff):
+        cs = condition_set(5, {(1, 2, 3): 1, (3, 4): 2, (4, 5): 4})
+        w = find_cover(cs)
+        special = [(p, local_factor(local_view(cs, p, w))) for p in relevant_primes(cs)]
+        self.assert_same_bits(generic_factor_polynomial(cs, w), cutoff, special)

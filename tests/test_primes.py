@@ -5,7 +5,7 @@ from math import isqrt
 import numpy as np
 
 from gcdcensus import primes
-from gcdcensus.primes import prime_blocks, primes_up_to
+from gcdcensus.primes import is_prime, prime_blocks, primes_up_to
 
 
 def trial_primes(n: int) -> list[int]:
@@ -29,3 +29,24 @@ def test_blocks_concatenate_to_the_primes(monkeypatch):
             assert blocks[0].tolist() == trial_primes(isqrt(limit))
         if limit >= 64:  # more than one 16-wide segment above the base block
             assert len(blocks) > 2
+
+
+def test_prime_count_to_ten_million():
+    assert primes_up_to(10**7).size == 664_579
+
+
+def test_segments_sit_on_the_fixed_grid():
+    # the block boundaries fix every block-wise sum, so they are a contract
+    limit = 3 * 10**6 + 1
+    root = isqrt(limit)
+    blocks = list(prime_blocks(limit))
+    assert blocks[0].tolist() == trial_primes(root)
+    starts = range(root + 1, limit + 1, primes._BLOCK_SIZE)
+    assert len(blocks) == 1 + len(starts)
+    for block, lo in zip(blocks[1:], starts):
+        hi = min(lo + primes._BLOCK_SIZE, limit + 1)
+        assert lo <= block[0] and block[-1] < hi
+        # first and last prime of the segment, checked by Miller-Rabin
+        assert not any(is_prime(n) for n in range(lo, int(block[0])))
+        assert not any(is_prime(n) for n in range(int(block[-1]) + 1, hi))
+        assert all(is_prime(int(p)) for p in block[[0, -1]])
