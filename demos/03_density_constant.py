@@ -46,7 +46,7 @@ even = condition_set(2, {(1, 2): 2})
 print("\ngcd(n1, n2) = 2:")
 view = local_view(even, 2, find_cover(even))
 print("  local factor at 2:", local_factor(view))
-res = constant(even, prime_cutoff=P, trace=True)
+res = constant(even, prime_cutoff=P)
 print("  value %.9f  (= 1/(4 zeta(2)) = %.9f)" % (res.value, 6 / pi**2 / 4))
 print("  traced factors:", [(p, str(f)) for p, f in res.factor_trace[:5]], "...")
 

@@ -47,6 +47,8 @@ def parse_document(text: str) -> ConditionSet:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except (ValueError, RecursionError) as exc:  # integer digit limit, nesting depth
+        raise ValueError(f"invalid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ValueError("top-level document must be a JSON object")
     for field in ("k", "conditions"):
@@ -130,22 +132,10 @@ def _cmd_witness(args) -> int:
     return 0
 
 
-def _trace_json(trace):
-    if trace is None:
-        return None
-    return [
-        {"p": p, "factor": f"{f.numerator}/{f.denominator}", "value": float(f)} for p, f in trace
-    ]
-
-
 def _cmd_constant(args) -> int:
     cs = _load(args.file)
-    result = density.constant(
-        cs,
-        cover=_parse_ints(args.cover, "--cover"),
-        prime_cutoff=args.prime_bound,
-        trace=args.trace,
-    )
+    cover = _parse_ints(args.cover, "--cover")
+    result = density.constant(cs, cover=cover, prime_cutoff=args.prime_bound)
     fields = {
         "value": result.value,
         "lower": result.lower,
@@ -153,11 +143,16 @@ def _cmd_constant(args) -> int:
         "prime_cutoff": result.prime_cutoff,
     }
     if args.format == "json":
-        _report(args, {**fields, "factor_trace": _trace_json(result.factor_trace)})
+        trace = [
+            {"p": p, "factor": f"{f.numerator}/{f.denominator}", "value": float(f)}
+            for p, f in result.factor_trace
+        ]
+        _report(args, {**fields, "factor_trace": trace if args.trace else None})
         return 0
     _report(args, fields)
-    for p, f in result.factor_trace or ():
-        print(f"factor {p} {f.numerator}/{f.denominator} {_fmt(float(f))}")
+    if args.trace:
+        for p, f in result.factor_trace:
+            print(f"factor {p} {f.numerator}/{f.denominator} {_fmt(float(f))}")
     return 0
 
 

@@ -31,9 +31,9 @@ class CountReport:
     """Exact count up to x compared against a density constant.
 
     normalized_error rescales |density - constant| by x / (log x)^(k-1),
-    the shape of the worst-case drift; sharper_log_exponent, when set,
-    repeats the rescaling with the best exponent the condition structure
-    allows (the largest pair-degree of any index), for information.
+    the shape of the worst-case drift; sharper_normalized_error repeats
+    it with sharper_log_exponent, the best exponent the condition
+    structure allows (the largest pair-degree of any index), for information.
     """
 
     x: int
@@ -41,8 +41,8 @@ class CountReport:
     density: float
     constant: float
     normalized_error: float
-    sharper_log_exponent: int | None = None
-    sharper_normalized_error: float | None = None
+    sharper_log_exponent: int
+    sharper_normalized_error: float
 
 
 def count(cs: ConditionSet, x: int) -> int:

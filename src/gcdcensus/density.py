@@ -92,15 +92,16 @@ class FactorPolynomial:
 
 @dataclass(frozen=True)
 class DensityResult:
-    """Truncated Euler product, its certified enclosure, and the cover and C used."""
+    """Truncated Euler product, its certified enclosure, the exact factors
+    it used as ascending (p, factor) pairs, and the cover and C used."""
 
     value: float
     lower: float
     upper: float
     prime_cutoff: int
-    factor_trace: tuple[tuple[int, Fraction], ...] | None = None
-    cover: frozenset[int] = frozenset()
-    tail_constant: int = 0
+    factor_trace: tuple[tuple[int, Fraction], ...]
+    cover: frozenset[int]
+    tail_constant: int
 
 
 def _subset_histogram(cs: ConditionSet, cover: frozenset[int]) -> dict[tuple[int, int], int]:
@@ -163,8 +164,6 @@ def local_factor(view: LocalView) -> Fraction:
     that independent geometric p-adic orders (order a with probability
     (1-1/p) p^-a) satisfy every condition at p.
     """
-    if view.w_p is None:
-        raise ValueError("local view carries no cover; build it with local_view(cs, p, cover)")
     p = view.p
     residual = _fold(view.reduced, view.w_p).value_at(p)
     return residual * Fraction(p - 1, p) ** len(view.z_set) / Fraction(p) ** sum(view.v.values())
@@ -247,7 +246,6 @@ def constant(
     cs: ConditionSet,
     cover: Iterable[int] | None = None,
     prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
-    trace: bool = False,
 ) -> DensityResult:
     """Truncated Euler product for the density constant, with certified tail.
 
@@ -291,7 +289,7 @@ def constant(
         lower=value * exp(-slack),
         upper=value * exp(slack),
         prime_cutoff=largest,
-        factor_trace=tuple(sorted(exact.items())) if trace else None,
+        factor_trace=tuple(sorted(exact.items())),
         cover=w,
         tail_constant=tail_c,
     )

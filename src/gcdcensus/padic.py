@@ -13,7 +13,7 @@ simultaneously.  The density module consumes these views prime by prime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InadmissibleError
@@ -44,8 +44,7 @@ class LocalView:
     """Everything one prime contributes to a condition system.
 
     `reduced` keeps the full 1..k index space of the source system; its
-    edges all lie inside `s_p` and its targets are all 1.  `w_p` is only
-    present when the view was built from a cover via `local_view`.
+    edges all lie inside `s_p` and its targets are all 1; `w_p` covers it.
     Treat instances as immutable; the dict fields are never mutated.
     """
 
@@ -56,7 +55,7 @@ class LocalView:
     s_p: frozenset[int]
     reduced: ConditionSet
     i_set: frozenset[int]
-    w_p: frozenset[int] | None = None
+    w_p: frozenset[int]
 
 
 def relevant_primes(cs: ConditionSet) -> tuple[int, ...]:
@@ -106,13 +105,16 @@ def _pinned(cs: ConditionSet, g, v) -> frozenset[int]:
     return frozenset(out)
 
 
-def reduce(cs: ConditionSet, p: int) -> LocalView:
-    """The residual all-targets-one system at p, without a cover.
+def local_view(cs: ConditionSet, p: int, cover: Iterable[int]) -> LocalView:
+    """Full per-prime view, including the cover w_p of the residual system.
 
+    `cover` must cover the source system and avoid its isolated indices;
+    w_p drops the pinned and residually-unconstrained coordinates from it.
     Only meaningful for admissible systems (the caller's responsibility);
     a residual edge shrinking below two members raises InadmissibleError,
     since that can only happen when no solution exists.
     """
+    w = check_cover(cs, cover)
     g, v = valuations(cs, p)
     z = _pinned(cs, g, v)
     s_p = frozenset(range(1, cs.k + 1)) - z
@@ -128,20 +130,9 @@ def reduce(cs: ConditionSet, p: int) -> LocalView:
         kept.setdefault(core)
     reduced = ConditionSet(cs.k, tuple(Condition(e, 1) for e in kept))
     i_set = isolated_indices(reduced) & s_p
-    return LocalView(p=int(p), g=g, v=v, z_set=z, s_p=s_p, reduced=reduced, i_set=i_set)
-
-
-def local_view(cs: ConditionSet, p: int, cover: Iterable[int]) -> LocalView:
-    """Full per-prime view, including the cover w_p of the residual system.
-
-    `cover` must cover the source system and avoid its isolated indices;
-    w_p drops the pinned and residually-unconstrained coordinates from it.
-    """
-    w = check_cover(cs, cover)
-    base = reduce(cs, p)
-    w_p = w - (base.z_set | base.i_set)
-    if not is_cover(base.reduced, w_p):
+    w_p = w - (z | i_set)
+    if not is_cover(reduced, w_p):
         raise AssertionError(
             f"internal invariant violated: {sorted(w_p)} fails to cover the residual system at p={p}"
         )
-    return replace(base, w_p=w_p)
+    return LocalView(p=int(p), g=g, v=v, z_set=z, s_p=s_p, reduced=reduced, i_set=i_set, w_p=w_p)

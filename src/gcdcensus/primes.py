@@ -5,7 +5,8 @@ millions of primes from a numpy segmented sieve over odd numbers, 3-13
 presieved (Bays & Hudson, BIT 1977).  Factorization uses trial
 division for the common case of small targets, then a deterministic
 Miller-Rabin test and Brent's cycle-finding variant of Pollard's rho for
-large cofactors (targets beyond ~128 bits are outside the supported range).
+large cofactors; a target that rho cannot split within _RHO_STEPS
+iterations is refused with ResourceLimitError.
 """
 
 from __future__ import annotations
@@ -15,8 +16,14 @@ from typing import Iterator
 
 import numpy as np
 
+from .errors import ResourceLimitError
+
 # Trial division handles every factor below this; rho only sees larger ones.
 _TRIAL_LIMIT = 10**6
+
+# Iterations of x -> x^2 + c one rho search may spend, retries included:
+# about 3 s at 128 bits, typically enough to split off a prime factor below 2^40.
+_RHO_STEPS = 1 << 22
 
 # Witnesses proving primality for all n < 3_317_044_064_679_887_385_961_981.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -102,15 +109,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _brent_rho(n: int) -> int:
-    """A nontrivial factor of composite n (n odd, no factor <= _TRIAL_LIMIT)."""
-    if n % 2 == 0:
-        return 2
-    c = 1
+def _brent_rho(n: int, target_bits: int) -> int:
+    """A nontrivial factor of composite n (n odd, no factor <= _TRIAL_LIMIT);
+    ResourceLimitError, naming target_bits, after _RHO_STEPS iterations."""
+    c, budget = 1, _RHO_STEPS
     while True:
         y, m = 2, 128
         g = r = q = 1
         while g == 1:
+            budget -= 2 * r  # r iterations to move x, at most r more to search
+            if budget < 0:
+                raise ResourceLimitError(
+                    f"factoring a {target_bits}-bit target exceeds the {_RHO_STEPS}-step limit on Pollard's rho"
+                )
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -135,7 +146,7 @@ def _brent_rho(n: int) -> int:
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization {p: exponent} of a positive integer."""
-    n = int(n)
+    n = target = int(n)
     if n < 1:
         raise ValueError(f"cannot factor {n}; expected a positive integer")
     out: dict[int, int] = {}
@@ -165,7 +176,7 @@ def factorize(n: int) -> dict[int, int]:
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        f = _brent_rho(m)
+        f = _brent_rho(m, target.bit_length())
         stack.append(f)
         stack.append(m // f)
     return out

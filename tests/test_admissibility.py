@@ -69,6 +69,15 @@ class TestBruteForceFind:
         with pytest.raises(ResourceLimitError):
             brute_force_find(condition_set(2, {(1, 2): 1}), 10**5)
 
+    def test_bound_below_one_rejected(self):
+        with pytest.raises(ValueError, match="bound must be >= 1"):
+            brute_force_find(condition_set(2, {(1, 2): 1}), 0)
+
+    def test_target_above_bound_finds_nothing(self):
+        cs = condition_set(2, {(1, 2): 7})
+        assert brute_force_find(cs, 6) is None
+        assert brute_force_find(cs, 7) == (7, 7)
+
     def test_lexicographic_order_matches_naive_scan(self):
         for k, conds in [
             (3, {(1, 2): 2, (2, 3): 4}),

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, stable text lines, JSON reports."""
 
 import json
+import time
 
 import pytest
 
@@ -60,6 +61,36 @@ class TestParsing:
         with pytest.raises(ValueError, match="line"):
             parse_document('{"k": 2,\n')
 
+    def test_deep_nesting_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid JSON")
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("[]", "top-level document"),
+            ('{"k": "3", "conditions": []}', "field k"),
+            ('{"k": 2, "conditions": {}}', "field conditions"),
+            ('{"k": 2, "conditions": [7]}', "conditions[0]: expected an object"),
+            ('{"k": 2, "conditions": [{"indices": [1, 2]}]}', "conditions[0]: missing field gcd"),
+            ('{"k": 2, "conditions": [{"indices": [1, true], "gcd": 1}]}', "conditions[0].indices"),
+            ('{"k": 2, "conditions": [{"indices": [1, 2], "gcd": 1.5}]}', "conditions[0].gcd"),
+            ('{"k": 2, "conditions": [{"indices": [1, 3], "gcd": 1}]}', "index 3 outside 1..2"),
+        ],
+    )
+    def test_rejection_exits_2_naming_the_field(self, tmp_path, capsys, text, field):
+        path = tmp_path / "system.json"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [("constant", "--cover"), ("factors", "--primes")])
+    def test_bad_integer_list_exits_2_naming_the_flag(self, write_doc, capsys, command, flag):
+        assert main([command, write_doc(GOOD), flag, "1,x"]) == 2
+        assert f"error: {flag}: expected comma-separated integers" in capsys.readouterr().err
+
 
 class TestCheck:
     def test_admissible(self, write_doc, capsys):
@@ -77,6 +108,16 @@ class TestCheck:
 
     def test_missing_file(self, tmp_path):
         assert main(["check", str(tmp_path / "absent.json")]) == 2
+
+    def test_unfactorable_target_is_resource_exit(self, write_doc, capsys):
+        # two primes just below 2^64: Pollard's rho would need about 2^32 steps
+        semiprime = (2**64 - 59) * (2**64 - 83)
+        doc = {"k": 2, "conditions": [{"indices": [1, 2], "gcd": str(semiprime)}]}
+        path = write_doc(doc)
+        start = time.perf_counter()
+        assert main(["check", path]) == 3
+        assert time.perf_counter() - start < 10
+        assert "128-bit target" in capsys.readouterr().err
 
 
 class TestWitness:
@@ -108,6 +149,34 @@ class TestConstant:
         doc = json.loads(capsys.readouterr().out)
         assert set(doc) == {"value", "lower", "upper", "prime_cutoff", "factor_trace"}
         assert doc["factor_trace"] is None
+
+    def test_trace_text_lines(self, write_doc, capsys):
+        path = write_doc(GOOD)
+        assert main(["constant", path, "--prime-bound", "10000", "--trace"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [
+            "value 0.000143200137991",
+            "lower 0.000143114243679",
+            "upper 0.000143286083855",
+            "prime_cutoff 9973",
+            "factor 2 5/64 0.078125",
+            "factor 3 16/243 0.0658436213992",
+            "factor 5 96/3125 0.03072",
+            "factor 7 330/343 0.962099125364",
+            "factor 11 1310/1331 0.984222389181",
+            "factor 13 2172/2197 0.988620846609",
+            "factor 17 4880/4913 0.993283126399",
+            "factor 19 6822/6859 0.994605627643",
+            "factor 23 12122/12167 0.996301471193",
+            "factor 29 24332/24389 0.997662880807",
+            "factor 31 29730/29791 0.997952401732",
+            "factor 37 50580/50653 0.998558821787",
+            "factor 41 68840/68921 0.998824741371",
+            "factor 43 79422/79507 0.998930911744",
+            "factor 47 103730/103823 0.999104244724",
+        ]
+        assert main(["constant", path, "--prime-bound", "10000"]) == 0
+        assert capsys.readouterr().out.splitlines() == lines[:4]
 
     def test_trace_lists_small_primes(self, write_doc, capsys):
         assert (

@@ -53,6 +53,10 @@ class TestCount:
         with pytest.raises(ResourceLimitError):
             count(condition_set(2, {(1, 2): 1}), 10**6)
 
+    def test_bound_below_one_rejected(self):
+        with pytest.raises(ValueError, match="x must be >= 1"):
+            count(condition_set(2, {(1, 2): 1}), 0)
+
     def test_isolated_coordinates_multiply(self):
         cs = condition_set(4, {(1, 3): 2})
         assert count(cs, 6) == naive_count(condition_set(2, {(1, 2): 2}), 6) * 36

@@ -56,12 +56,6 @@ class TestLocalFactor:
         view = local_view(condition_set(2, {(1, 2): 2}), 2, {1})
         assert local_factor(view) == Fraction(3, 16)
 
-    def test_requires_cover(self):
-        from gcdcensus.padic import reduce as reduce_at
-
-        with pytest.raises(ValueError):
-            local_factor(reduce_at(condition_set(2, {(1, 2): 1}), 2))
-
     def test_residual_cover_above_limit_rejected(self):
         # complete pairwise k=26: the greedy cover keeps 25 indices at p=2
         cs = condition_set(26, {t: 1 for t in itertools.combinations(range(1, 27), 2)})
@@ -251,7 +245,7 @@ class TestConstant:
         assert res.tail_constant == generic_factor_polynomial(cs, {1, 3}).tail_constant > 0
 
     def test_trace_contents(self):
-        res = constant(condition_set(3, {(1, 2): 6, (2, 3): 10}), prime_cutoff=10**4, trace=True)
+        res = constant(condition_set(3, {(1, 2): 6, (2, 3): 10}), prime_cutoff=10**4)
         traced = dict(res.factor_trace)
         assert {2, 3, 5}.issubset(traced)
         assert all(p < 50 or p in (2, 3, 5) for p in traced)

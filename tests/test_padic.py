@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from gcdcensus import (
     InadmissibleError,
     condition_set,
+    find_cover,
     is_admissible,
     is_cover,
     local_view,
@@ -15,7 +16,7 @@ from gcdcensus import (
     valuations,
     z_set,
 )
-from gcdcensus.padic import padic_order, reduce as reduce_at
+from gcdcensus.padic import padic_order
 
 from helpers import admissible_condition_sets, random_admissible
 
@@ -89,7 +90,8 @@ class TestZSet:
 
 class TestReduce:
     def test_worked_example(self):
-        view = reduce_at(condition_set(3, {(1, 2): 1, (2, 3): 2}), 2)
+        cs = condition_set(3, {(1, 2): 1, (2, 3): 2})
+        view = local_view(cs, 2, find_cover(cs))
         assert view.s_p == {2, 3}
         assert [sorted(c.indices) for c in view.reduced.conditions] == [[2, 3]]
         assert all(c.value == 1 for c in view.reduced.conditions)
@@ -97,12 +99,13 @@ class TestReduce:
 
     def test_off_support_prime_keeps_everything(self):
         cs = condition_set(3, {(1, 2): 1, (2, 3): 2})
-        view = reduce_at(cs, 7)
+        view = local_view(cs, 7, find_cover(cs))
         assert view.z_set == frozenset()
         assert {c.indices for c in view.reduced.conditions} == {c.indices for c in cs.conditions}
 
     def test_both_attaining(self):
-        view = reduce_at(condition_set(2, {(1, 2): 2}), 2)
+        cs = condition_set(2, {(1, 2): 2})
+        view = local_view(cs, 2, find_cover(cs))
         assert view.s_p == {1, 2}
         assert [sorted(c.indices) for c in view.reduced.conditions] == [[1, 2]]
         assert view.i_set == frozenset()
@@ -111,7 +114,7 @@ class TestReduce:
         # index 3 is pinned by (3,4); the (1,2,3) condition still forces
         # min over {1,2}, so its residual edge must survive
         cs = condition_set(5, {(1, 2, 3): 1, (3, 4): 2, (4, 5): 4})
-        view = reduce_at(cs, 2)
+        view = local_view(cs, 2, find_cover(cs))
         assert view.z_set == {3}
         assert {tuple(sorted(c.indices)) for c in view.reduced.conditions} == {(1, 2), (4, 5)}
 
@@ -121,13 +124,13 @@ class TestReduce:
         # collapses
         cs = condition_set(3, {(1, 2): 2, (1, 3): 2, (2, 3): 1})
         with pytest.raises(InadmissibleError):
-            reduce_at(cs, 2)
+            local_view(cs, 2, find_cover(cs))
 
     @given(admissible_condition_sets())
     @settings(max_examples=50)
     def test_residual_edges_have_two_members(self, cs):
         for p in relevant_primes(cs):
-            view = reduce_at(cs, p)
+            view = local_view(cs, p, find_cover(cs))
             assert all(len(c.indices) >= 2 for c in view.reduced.conditions)
             assert all(c.value == 1 for c in view.reduced.conditions)
 
@@ -135,8 +138,8 @@ class TestReduce:
     @settings(max_examples=50)
     def test_reduce_is_idempotent(self, cs):
         for p in relevant_primes(cs) + (7,):
-            once = reduce_at(cs, p).reduced
-            twice = reduce_at(once, p).reduced
+            once = local_view(cs, p, find_cover(cs)).reduced
+            twice = local_view(once, p, find_cover(once)).reduced
             assert {c.indices for c in once.conditions} == {c.indices for c in twice.conditions}
 
 
@@ -158,8 +161,6 @@ class TestLocalView:
         rng = random.Random(7)
         for _ in range(40):
             cs = random_admissible(rng)
-            from gcdcensus import find_cover
-
             w = find_cover(cs)
             for p in relevant_primes(cs):
                 view = local_view(cs, p, w)

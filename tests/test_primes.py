@@ -1,15 +1,55 @@
 """The prime sieve: one segmented sieve behind both entry points."""
 
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcdcensus import primes
-from gcdcensus.primes import is_prime, prime_blocks, primes_up_to
+from gcdcensus.primes import factorize, is_prime, prime_blocks, primes_up_to
+
+SMALL = primes_up_to(1000).tolist()
+ABOVE_TRIAL_LIMIT = [p for p in primes_up_to(10**6 + 1000).tolist() if p > 10**6]
 
 
 def trial_primes(n: int) -> list[int]:
     return [m for m in range(2, n + 1) if all(m % d for d in range(2, isqrt(m) + 1))]
+
+
+def trial_factorization(n: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(401) if is_prime(n)] == trial_primes(400)
+
+
+@given(
+    st.dictionaries(st.sampled_from(SMALL), st.integers(1, 3), max_size=4),
+    st.sampled_from([1] + ABOVE_TRIAL_LIMIT),
+)
+@settings(max_examples=100)
+def test_factorize_matches_trial_division(small, cofactor):
+    # repeated small factors found by trial division below a cofactor above 10^6
+    n = cofactor * prod(p**e for p, e in small.items())
+    assert factorize(n) == trial_factorization(n)
+
+
+def test_factorize_large_cofactors():
+    # cofactors with no factor below 10^6 go to Pollard's rho
+    assert factorize(1000003 * 1000033) == {1000003: 1, 1000033: 1}
+    assert factorize(7**3 * 1000003**2) == {7: 3, 1000003: 2}
+    assert factorize(2 * (2**61 - 1)) == {2: 1, 2**61 - 1: 1}
 
 
 def test_primes_up_to_matches_trial_division():
