@@ -3,9 +3,11 @@
 
 Not every assignment of gcd targets can be met.  Requiring
 gcd(n1, n2) = gcd(n1, n3) = 2 forces n2 and n3 both even, which clashes
-with gcd(n2, n3) = 1.  The decision procedure works prime by prime: at
-each prime dividing a target, a condition's exponent must equal the
-smallest forced exponent over its indices.
+with gcd(n2, n3) = 1.  Each coordinate must be a multiple of every target
+on its index, so of their lcm; the system is solvable exactly when those
+lcms meet every condition.  Prime by prime: at each prime dividing a
+target, a condition's exponent must equal the smallest forced exponent
+over its indices.
 """
 
 from gcdcensus import (
@@ -27,7 +29,8 @@ print("clashing system admissible:", bool(report))
 p, t = report.violation
 print("  first violation: prime", p, "on indices", sorted(t))
 
-# The canonical witness multiplies each coordinate's forced prime powers.
+# The canonical witness multiplies each coordinate's forced prime powers,
+# which is the lcm of the targets on that index.
 w = witness(solvable)
 print("\nwitness for the solvable system:", w, "delta:", delta(solvable, w))
 

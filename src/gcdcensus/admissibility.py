@@ -1,11 +1,10 @@
 """Decide whether a condition system has any solution, and build one.
 
-The decision runs prime by prime: a system is solvable exactly when, at
-every prime p dividing some target, each condition's exponent g(T)
-equals min{v[i] : i in T} of the forced coordinate minima.  (At all
-other primes every quantity is 0 and the criterion is vacuous.)  The
-canonical witness sets each coordinate to the product of its forced
-prime powers; it is minimal in every p-adic order among all solutions.
+The canonical witness n_i = lcm{f(T) : T contains i} divides every
+solution, and f(T) divides gcd{n_i : i in T}.  So a system is solvable
+exactly when every quotient q_T = gcd{n_i : i in T} / f(T) is 1, and then
+n is its minimal solution.  A prime p divides q_T exactly when g(T) is
+below min{v[i] : i in T} at p; only naming such a prime factors anything.
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ from math import gcd
 import numpy as np
 
 from .errors import InadmissibleError, ResourceLimitError
-from .model import ConditionSet, delta, isolated_indices
-from .padic import relevant_primes, valuations
+from .model import ConditionSet, canonical_witness, isolated_indices
+from .primes import factorize
 
 _SEARCH_GUARD = 10**9
 
@@ -35,37 +34,28 @@ class AdmissibilityReport:
 
 
 def is_admissible(cs: ConditionSet) -> AdmissibilityReport:
-    """Check g(T) == min v over T at every prime dividing a target.
+    """Check that every q_T = gcd{n_i : i in T} / f(T) is 1.
 
-    Violations are reported in (prime, lexicographic edge) order, so the
-    diagnostic is reproducible.
+    A violation is the smallest prime p dividing some q_T, with the first
+    condition (canonical order) whose q_T it divides: the first (prime, edge)
+    with g(T) != min v over T, so the diagnostic is reproducible.
     """
-    for p in relevant_primes(cs):
-        g, v = valuations(cs, p)
-        for c in cs.conditions:
-            if g[c.indices] != min(v[i] for i in c.indices):
-                return AdmissibilityReport(False, (p, c.indices))
-    return AdmissibilityReport(True)
+    n = canonical_witness(cs)
+    q = [gcd(*[n[i - 1] for i in c.indices]) // c.value for c in cs.conditions]
+    if all(x == 1 for x in q):
+        return AdmissibilityReport(True)
+    p = min(min(factorize(x)) for x in set(q) if x > 1)
+    t = next(c.indices for c, x in zip(cs.conditions, q) if x % p == 0)
+    return AdmissibilityReport(False, (p, t))
 
 
 def witness(cs: ConditionSet) -> tuple[int, ...]:
-    """The canonical solution n_i = prod_p p**v_i over the target primes.
-
-    Raises InadmissibleError (carrying the violating prime and index set)
-    when no solution exists.
-    """
+    """The canonical solution n_i = lcm of the targets on index i; raises
+    InadmissibleError, with the violating prime and index set, if none exists."""
     report = is_admissible(cs)
     if not report:
         raise InadmissibleError(*report.violation)
-    entries = [1] * cs.k
-    for p in relevant_primes(cs):
-        _, v = valuations(cs, p)
-        for i in range(1, cs.k + 1):
-            entries[i - 1] *= p ** v[i]
-    result = tuple(entries)
-    if delta(cs, result) != 1:
-        raise AssertionError(f"internal invariant violated: witness {result} fails the system")
-    return result
+    return canonical_witness(cs)
 
 
 def pruned_walk(cs: ConditionSet, active: list[int], bound: int, visit) -> bool:

@@ -78,7 +78,10 @@ def parse_document(text: str) -> ConditionSet:
             digits = value.strip()
             if not (digits.isascii() and digits.isdigit()):
                 raise ValueError(f"{where}.gcd: expected digits, got {value!r}")
-            value = int(digits)
+            try:
+                value = int(digits)
+            except ValueError as exc:  # integer digit limit
+                raise ValueError(f"{where}.gcd: {exc}")
         elif isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"{where}.gcd: expected an integer or digit string, got {value!r}")
         try:
@@ -203,9 +206,7 @@ def _view_json(view, factor: Fraction) -> dict:
 
 def _cmd_factors(args) -> int:
     cs = _load(args.file)
-    report = is_admissible(cs)
-    if not report:
-        raise InadmissibleError(*report.violation)
+    witness(cs)  # raises InadmissibleError
     primes = _parse_ints(args.primes, "--primes")
     if primes is None:
         primes = list(relevant_primes(cs))

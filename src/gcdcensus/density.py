@@ -24,8 +24,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .admissibility import is_admissible
-from .errors import CutoffTooSmallError, InadmissibleError, ResourceLimitError
+from .admissibility import witness
+from .errors import CutoffTooSmallError, ResourceLimitError
 from .model import ConditionSet, check_cover, find_cover
 from .padic import LocalView, local_view, relevant_primes
 from .primes import prime_blocks, primes_up_to
@@ -259,9 +259,7 @@ def constant(
     CutoffTooSmallError / ResourceLimitError on guard violations.
     """
     cutoff = _checked_cutoff(prime_cutoff)
-    report = is_admissible(cs)
-    if not report:
-        raise InadmissibleError(*report.violation)
+    witness(cs)  # raises InadmissibleError
     w = frozenset(find_cover(cs) if cover is None else cover)
     poly = generic_factor_polynomial(cs, w)  # checks w
     tail_c = poly.tail_constant

@@ -17,7 +17,7 @@ import operator
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 
 MAX_K = 64
 
@@ -259,6 +259,17 @@ def _cover_greedy(edges: tuple[int, ...]) -> int:
                 d &= d - 1
                 counts[b] = counts.get(b, 0) + 1
         cur |= max(counts, key=lambda b: (counts[b], -b))
+
+
+def canonical_witness(cs: ConditionSet) -> tuple[int, ...]:
+    """n_i = lcm of the targets on index i (1 off every condition).  Every
+    solution is a multiple of it, so it is the minimal one when any exists."""
+    n = [1] * cs.k
+    for c in cs.conditions:
+        if c.value > 1:  # skip the no-op lcms of coprimality conditions
+            for i in c.indices:
+                n[i - 1] = lcm(n[i - 1], c.value)
+    return tuple(n)
 
 
 def delta(cs: ConditionSet, values: Iterable[int]) -> int:

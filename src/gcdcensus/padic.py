@@ -20,6 +20,7 @@ from .errors import InadmissibleError
 from .model import (
     Condition,
     ConditionSet,
+    canonical_witness,
     check_cover,
     is_cover,
     isolated_indices,
@@ -61,26 +62,22 @@ class LocalView:
 def relevant_primes(cs: ConditionSet) -> tuple[int, ...]:
     """The primes dividing at least one condition target, ascending."""
     ps: set[int] = set()
-    for c in cs.conditions:
-        ps.update(factorize(c.value))
+    for value in {c.value for c in cs.conditions}:
+        ps.update(factorize(value))
     return tuple(sorted(ps))
 
 
 def valuations(cs: ConditionSet, p: int) -> tuple[dict[frozenset[int], int], dict[int, int]]:
     """Per-condition exponents g and per-coordinate forced minima v at p.
 
-    v[i] is 0 for any index outside every condition.
+    v[i] is the order of the canonical witness's n_i, so 0 for any index
+    outside every condition.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     p = int(p)
     g = {c.indices: padic_order(c.value, p) for c in cs.conditions}
-    v = {i: 0 for i in range(1, cs.k + 1)}
-    for c in cs.conditions:
-        gt = g[c.indices]
-        for i in c.indices:
-            if gt > v[i]:
-                v[i] = gt
+    v = {i: padic_order(n, p) for i, n in enumerate(canonical_witness(cs), 1)}
     return g, v
 
 

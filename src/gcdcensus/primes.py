@@ -5,8 +5,8 @@ millions of primes from a numpy segmented sieve over odd numbers, 3-13
 presieved (Bays & Hudson, BIT 1977).  Factorization uses trial
 division for the common case of small targets, then a deterministic
 Miller-Rabin test and Brent's cycle-finding variant of Pollard's rho for
-large cofactors; a target that rho cannot split within _RHO_STEPS
-iterations is refused with ResourceLimitError.
+large cofactors; a target that rho cannot split within its step budget
+(_RHO_STEPS, scaled down above 128 bits) is refused with ResourceLimitError.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ from .errors import ResourceLimitError
 # Trial division handles every factor below this; rho only sees larger ones.
 _TRIAL_LIMIT = 10**6
 
-# Iterations of x -> x^2 + c one rho search may spend, retries included:
-# about 3 s at 128 bits, typically enough to split off a prime factor below 2^40.
+# Iterations of x -> x^2 + c one rho search may spend, retries included: about
+# 3 s up to 128 bits, typically enough to split off a prime factor below 2^40.
+# Above 128 bits it shrinks in proportion to the bit length of the cofactor.
 _RHO_STEPS = 1 << 22
 
 # Witnesses proving primality for all n < 3_317_044_064_679_887_385_961_981.
@@ -111,8 +112,9 @@ def is_prime(n: int) -> bool:
 
 def _brent_rho(n: int, target_bits: int) -> int:
     """A nontrivial factor of composite n (n odd, no factor <= _TRIAL_LIMIT);
-    ResourceLimitError, naming target_bits, after _RHO_STEPS iterations."""
-    c, budget = 1, _RHO_STEPS
+    ResourceLimitError, naming target_bits, once the step budget is spent."""
+    limit = _RHO_STEPS * 128 // max(128, n.bit_length())
+    c, budget = 1, limit
     while True:
         y, m = 2, 128
         g = r = q = 1
@@ -120,7 +122,7 @@ def _brent_rho(n: int, target_bits: int) -> int:
             budget -= 2 * r  # r iterations to move x, at most r more to search
             if budget < 0:
                 raise ResourceLimitError(
-                    f"factoring a {target_bits}-bit target exceeds the {_RHO_STEPS}-step limit on Pollard's rho"
+                    f"factoring a {target_bits}-bit target exceeds the {limit}-step limit on Pollard's rho"
                 )
             x = y
             for _ in range(r):

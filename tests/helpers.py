@@ -2,7 +2,8 @@
 
 Everything here is deliberately independent of the library's computation
 paths: the enumeration oracle walks tuples with itertools and math.gcd,
-the local-factor oracle sums capped geometric valuation probabilities
+the admissibility oracle applies the criterion prime by prime, the
+local-factor oracle sums capped geometric valuation probabilities
 directly, the subset-sum oracles walk every independent subset one by
 one, the Euler-product oracle sums each sieve block with math.fsum, and
 the Mobius oracle factors by trial division.
@@ -18,10 +19,10 @@ from math import comb, exp, fsum, gcd
 import numpy as np
 from hypothesis import strategies as st
 
-from gcdcensus import Condition, ConditionSet, condition_set
+from gcdcensus import AdmissibilityReport, Condition, ConditionSet, condition_set
 from gcdcensus.density import _TRACE_LIMIT, FactorPolynomial, _log_fraction
 from gcdcensus.model import enumerate_independent_subsets, neighbors
-from gcdcensus.padic import LocalView
+from gcdcensus.padic import LocalView, relevant_primes, valuations
 from gcdcensus.primes import prime_blocks, primes_up_to
 
 
@@ -56,6 +57,17 @@ def _gcd_over(tup, idx):
     for i in idx:
         g = gcd(g, tup[i - 1])
     return g
+
+
+def naive_admissibility(cs: ConditionSet) -> AdmissibilityReport:
+    """The per-prime criterion: at each target prime in ascending order, the
+    first condition (canonical order) whose g(T) differs from min v over T."""
+    for p in relevant_primes(cs):
+        g, v = valuations(cs, p)
+        for c in cs.conditions:
+            if g[c.indices] != min(v[i] for i in c.indices):
+                return AdmissibilityReport(False, (p, c.indices))
+    return AdmissibilityReport(True)
 
 
 def trial_order(n: int, p: int) -> int:
@@ -169,9 +181,18 @@ def random_admissible(rng: random.Random, max_k: int = 6, max_base: int = 60) ->
     return condition_set(k, conds)
 
 
+# Targets 2^a 3^b 5^c 7^d with exponents up to 2: one system can clash at several primes.
+composite_targets = st.tuples(*[st.integers(0, 2)] * 4).map(
+    lambda e: 2 ** e[0] * 3 ** e[1] * 5 ** e[2] * 7 ** e[3]
+)
+
+
 @st.composite
-def condition_sets(draw, max_k: int = 4, max_value: int = 6, allow_empty: bool = True):
-    """Arbitrary (not necessarily admissible) small systems."""
+def condition_sets(draw, max_k: int = 4, max_value: int = 6, allow_empty: bool = True, values=None):
+    """Arbitrary (not necessarily admissible) small systems.
+
+    Targets come from `values` when given, else from 1..max_value.
+    """
     k = draw(st.integers(2, max_k))
     all_edges = [
         frozenset(c)
@@ -182,7 +203,8 @@ def condition_sets(draw, max_k: int = 4, max_value: int = 6, allow_empty: bool =
     chosen = draw(
         st.lists(st.sampled_from(all_edges), min_size=min_edges, max_size=len(all_edges), unique=True)
     )
-    conds = tuple(Condition(e, draw(st.integers(1, max_value))) for e in chosen)
+    values = st.integers(1, max_value) if values is None else values
+    conds = tuple(Condition(e, draw(values)) for e in chosen)
     return ConditionSet(k, conds)
 
 

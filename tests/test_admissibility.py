@@ -16,7 +16,13 @@ from gcdcensus import (
 )
 from gcdcensus.padic import padic_order
 
-from helpers import condition_sets, naive_first
+from helpers import (
+    admissible_condition_sets,
+    composite_targets,
+    condition_sets,
+    naive_admissibility,
+    naive_first,
+)
 
 
 class TestIsAdmissible:
@@ -36,6 +42,30 @@ class TestIsAdmissible:
     def test_all_ones_always_admissible(self, cs):
         ones = condition_set(cs.k, {tuple(sorted(c.indices)): 1 for c in cs.conditions})
         assert is_admissible(ones)
+
+
+    def test_smallest_prime_wins_over_condition_order(self):
+        # q_{1,2} = 3 comes first in condition order, but p = 2 divides q_{1,3}
+        cs = condition_set(4, {(1, 2): 1, (1, 3): 3, (2, 3): 3, (1, 4): 2, (3, 4): 2})
+        assert is_admissible(cs).violation == (2, frozenset({1, 3}))
+
+
+class TestAgainstPerPrimeCriterion:
+    @given(
+        condition_sets(max_k=5, allow_empty=False, values=composite_targets)
+        | admissible_condition_sets(max_k=5, max_base=420)
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_report_and_witness(self, cs):
+        report = is_admissible(cs)
+        assert report == naive_admissibility(cs)
+        if report:
+            expected = [1] * cs.k
+            for p in relevant_primes(cs):
+                _, v = valuations(cs, p)
+                for i in range(1, cs.k + 1):
+                    expected[i - 1] *= p ** v[i]
+            assert witness(cs) == tuple(expected)
 
 
 class TestWitness:

@@ -57,6 +57,11 @@ class TestParsing:
                 '{"k": 2, "conditions": [{"indices": [1, 2], "gcd": 1}, {"indices": [1], "gcd": 1}]}'
             )
 
+    def test_gcd_beyond_the_digit_limit_names_the_field(self):
+        doc = {"k": 2, "conditions": [{"indices": [1, 2], "gcd": "1" * 5000}]}
+        with pytest.raises(ValueError, match=r"^conditions\[0\]\.gcd: .*4300"):
+            parse_document(json.dumps(doc))
+
     def test_json_error_carries_position(self):
         with pytest.raises(ValueError, match="line"):
             parse_document('{"k": 2,\n')
@@ -78,6 +83,7 @@ class TestParsing:
             ('{"k": 2, "conditions": [{"indices": [1, true], "gcd": 1}]}', "conditions[0].indices"),
             ('{"k": 2, "conditions": [{"indices": [1, 2], "gcd": 1.5}]}', "conditions[0].gcd"),
             ('{"k": 2, "conditions": [{"indices": [1, 3], "gcd": 1}]}', "index 3 outside 1..2"),
+            ('{"k": 2, "conditions": [{"indices": [0, 1], "gcd": 1}]}', "conditions[0]: indices must be >= 1"),
         ],
     )
     def test_rejection_exits_2_naming_the_field(self, tmp_path, capsys, text, field):
@@ -111,13 +117,31 @@ class TestCheck:
 
     def test_unfactorable_target_is_resource_exit(self, write_doc, capsys):
         # two primes just below 2^64: Pollard's rho would need about 2^32 steps
-        semiprime = (2**64 - 59) * (2**64 - 83)
-        doc = {"k": 2, "conditions": [{"indices": [1, 2], "gcd": str(semiprime)}]}
-        path = write_doc(doc)
+        semiprime = str((2**64 - 59) * (2**64 - 83))
+        path = write_doc({"k": 2, "conditions": [{"indices": [1, 2], "gcd": semiprime}]})
         start = time.perf_counter()
-        assert main(["check", path]) == 3
+        assert main(["check", path]) == 0  # deciding factors nothing
+        assert main(["witness", path]) == 0
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().out.splitlines() == ["admissible", f"{semiprime} {semiprime}"]
+        start = time.perf_counter()
+        assert main(["factors", path]) == 3
         assert time.perf_counter() - start < 10
         assert "128-bit target" in capsys.readouterr().err
+        # naming the violating prime factors the quotient gcd(n_2, n_3) / 1
+        bad = [{"indices": [1, 2], "gcd": semiprime}, {"indices": [1, 3], "gcd": semiprime}]
+        path = write_doc({"k": 3, "conditions": bad + [{"indices": [2, 3], "gcd": 1}]})
+        assert main(["check", path]) == 3
+        assert "128-bit target" in capsys.readouterr().err
+
+    def test_large_semiprime_is_refused_in_bounded_time(self, write_doc, capsys):
+        # two primes just below 2^256: the rho budget shrinks with the bit length
+        semiprime = (2**256 - 189) * (2**256 - 357)
+        doc = {"k": 2, "conditions": [{"indices": [1, 2], "gcd": str(semiprime)}]}
+        start = time.perf_counter()
+        assert main(["factors", write_doc(doc)]) == 3
+        assert time.perf_counter() - start < 10
+        assert "512-bit target" in capsys.readouterr().err
 
 
 class TestWitness:

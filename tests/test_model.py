@@ -19,6 +19,8 @@ from gcdcensus import (
     neighbors,
 )
 
+from gcdcensus.model import canonical_witness
+
 from helpers import condition_sets, subsets_of
 
 
@@ -39,6 +41,14 @@ class TestConstruction:
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
             condition_set(3, {(1, 4): 1})
+
+    def test_index_below_one_rejected(self):
+        with pytest.raises(ValueError, match="indices must be >= 1"):
+            Condition(frozenset({0, 1}), 1)
+
+    def test_non_condition_rejected(self):
+        with pytest.raises(TypeError, match="expected Condition, got tuple"):
+            ConditionSet(2, (((1, 2), 1),))
 
     def test_singleton_condition_rejected(self):
         with pytest.raises(ValueError):
@@ -194,6 +204,13 @@ class TestFindCover:
         w = find_cover(cs)
         assert is_cover(cs, w)
         assert not (w & isolated_indices(cs))
+
+
+class TestCanonicalWitness:
+    def test_lcm_of_the_targets_on_each_index(self):
+        cs = condition_set(4, {(1, 2): 6, (2, 3): 10, (1, 3): 4})
+        assert canonical_witness(cs) == (12, 30, 20, 1)
+        assert canonical_witness(ConditionSet(3)) == (1, 1, 1)
 
 
 class TestDelta:

@@ -18,7 +18,7 @@ from gcdcensus import (
 )
 from gcdcensus.padic import padic_order
 
-from helpers import admissible_condition_sets, random_admissible
+from helpers import admissible_condition_sets, composite_targets, condition_sets, random_admissible
 
 
 class TestRelevantPrimes:
@@ -56,6 +56,14 @@ class TestValuations:
     def test_nonprime_rejected(self):
         with pytest.raises(ValueError):
             valuations(condition_set(2, {(1, 2): 2}), 6)
+
+    @given(condition_sets(max_k=5, values=composite_targets))
+    @settings(max_examples=100)
+    def test_v_is_the_largest_g_on_each_index(self, cs):
+        for p in (2, 3, 5, 7, 11):
+            g, v = valuations(cs, p)
+            for i in range(1, cs.k + 1):
+                assert v[i] == max([g[c.indices] for c in cs.conditions if i in c.indices], default=0)
 
     @given(admissible_condition_sets())
     @settings(max_examples=50)

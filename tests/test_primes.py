@@ -3,11 +3,12 @@
 from math import isqrt, prod
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcdcensus import primes
-from gcdcensus.primes import factorize, is_prime, prime_blocks, primes_up_to
+from gcdcensus.primes import factorize, is_prime, mobius_up_to, prime_blocks, primes_up_to
 
 SMALL = primes_up_to(1000).tolist()
 ABOVE_TRIAL_LIMIT = [p for p in primes_up_to(10**6 + 1000).tolist() if p > 10**6]
@@ -50,6 +51,19 @@ def test_factorize_large_cofactors():
     assert factorize(1000003 * 1000033) == {1000003: 1, 1000033: 1}
     assert factorize(7**3 * 1000003**2) == {7: 3, 1000003: 2}
     assert factorize(2 * (2**61 - 1)) == {2: 1, 2**61 - 1: 1}
+
+
+def test_brent_rho_backtracks_and_retries():
+    # with c = 1 the batched gcd overshoots to 25 and the backtrack finds 25
+    # again, so the search moves on to c = 2
+    assert primes._brent_rho(25, 5) == 5
+
+
+def test_nonpositive_inputs_rejected():
+    with pytest.raises(ValueError, match="cannot factor 0"):
+        factorize(0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        mobius_up_to(-1)
 
 
 def test_primes_up_to_matches_trial_division():
