@@ -3,15 +3,15 @@
 The canonical witness n_i = lcm{f(T) : T contains i} divides every
 solution, and f(T) divides gcd{n_i : i in T}.  So a system is solvable
 exactly when every quotient q_T = gcd{n_i : i in T} / f(T) is 1, and then
-n is its minimal solution.  A prime p divides q_T exactly when g(T) is
-below min{v[i] : i in T} at p; only naming such a prime factors anything.
+n is its minimal solution.  Only naming a prime of some q_T factors, and
+then only the parts of targets that share a prime with a q_T.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -34,28 +34,29 @@ class AdmissibilityReport:
 
 
 def is_admissible(cs: ConditionSet) -> AdmissibilityReport:
-    """Check that every q_T = gcd{n_i : i in T} / f(T) is 1.
-
-    A violation is the smallest prime p dividing some q_T, with the first
-    condition (canonical order) whose q_T it divides: the first (prime, edge)
-    with g(T) != min v over T, so the diagnostic is reproducible.
-    """
-    n = canonical_witness(cs)
-    q = [gcd(*[n[i - 1] for i in c.indices]) // c.value for c in cs.conditions]
-    if all(x == 1 for x in q):
-        return AdmissibilityReport(True)
-    p = min(min(factorize(x)) for x in set(q) if x > 1)
-    t = next(c.indices for c, x in zip(cs.conditions, q) if x % p == 0)
-    return AdmissibilityReport(False, (p, t))
+    """Check that every q_T = gcd{n_i : i in T} / f(T) is 1.  A violation is
+    the smallest prime dividing some q_T with the first condition (canonical
+    order) whose q_T it divides: the first (prime, edge) with g(T) != min v."""
+    violation = _violation(cs, canonical_witness(cs))
+    return AdmissibilityReport(violation is None, violation)
 
 
 def witness(cs: ConditionSet) -> tuple[int, ...]:
     """The canonical solution n_i = lcm of the targets on index i; raises
     InadmissibleError, with the violating prime and index set, if none exists."""
-    report = is_admissible(cs)
-    if not report:
-        raise InadmissibleError(*report.violation)
-    return canonical_witness(cs)
+    n = canonical_witness(cs)
+    if violation := _violation(cs, n):
+        raise InadmissibleError(*violation)
+    return n
+
+
+def _violation(cs: ConditionSet, n: tuple[int, ...]) -> tuple[int, frozenset[int]] | None:
+    q = [gcd(*[n[i - 1] for i in c.indices]) // c.value for c in cs.conditions]
+    bad = lcm(*q)  # never factored: it can join primes of several targets
+    if bad == 1:
+        return None
+    p = min(min(factorize(d)) for d in {gcd(bad, c.value) for c in cs.conditions} - {1})
+    return p, next(c.indices for c, x in zip(cs.conditions, q) if x % p == 0)
 
 
 def pruned_walk(cs: ConditionSet, active: list[int], bound: int, visit) -> bool:

@@ -2,11 +2,12 @@
 
 Everything here is deliberately independent of the library's computation
 paths: the enumeration oracle walks tuples with itertools and math.gcd,
-the admissibility oracle applies the criterion prime by prime, the
-local-factor oracle sums capped geometric valuation probabilities
-directly, the subset-sum oracles walk every independent subset one by
-one, the Euler-product oracle sums each sieve block with math.fsum, and
-the Mobius oracle factors by trial division.
+the admissibility and witness oracles apply the criterion prime by prime
+with primes and valuations found by trial division, the local-factor
+oracle sums capped geometric valuation probabilities directly, the
+subset-sum oracles walk every independent subset one by one, the
+Euler-product oracle sums each sieve block with math.fsum, and the Mobius
+oracle factors by trial division.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from gcdcensus import AdmissibilityReport, Condition, ConditionSet, condition_set
 from gcdcensus.density import _TRACE_LIMIT, FactorPolynomial, _log_fraction
 from gcdcensus.model import enumerate_independent_subsets, neighbors
-from gcdcensus.padic import LocalView, relevant_primes, valuations
+from gcdcensus.padic import LocalView
 from gcdcensus.primes import prime_blocks, primes_up_to
 
 
@@ -62,12 +63,48 @@ def _gcd_over(tup, idx):
 def naive_admissibility(cs: ConditionSet) -> AdmissibilityReport:
     """The per-prime criterion: at each target prime in ascending order, the
     first condition (canonical order) whose g(T) differs from min v over T."""
-    for p in relevant_primes(cs):
-        g, v = valuations(cs, p)
+    for p in trial_primes(cs):
+        g, v = naive_valuations(cs, p)
         for c in cs.conditions:
             if g[c.indices] != min(v[i] for i in c.indices):
                 return AdmissibilityReport(False, (p, c.indices))
     return AdmissibilityReport(True)
+
+
+def naive_witness(cs: ConditionSet) -> tuple[int, ...]:
+    """prod_p p**v_i over the target primes: the witness built prime by prime."""
+    entries = [1] * cs.k
+    for p in trial_primes(cs):
+        _, v = naive_valuations(cs, p)
+        for i in range(1, cs.k + 1):
+            entries[i - 1] *= p ** v[i]
+    return tuple(entries)
+
+
+def naive_valuations(cs: ConditionSet, p: int):
+    """g(T) = ord_p f(T) by trial division, and v[i] = the largest g(T) over
+    the conditions containing i (0 off every condition)."""
+    g = {c.indices: trial_order(c.value, p) for c in cs.conditions}
+    v = {
+        i: max([g[c.indices] for c in cs.conditions if i in c.indices], default=0)
+        for i in range(1, cs.k + 1)
+    }
+    return g, v
+
+
+def trial_primes(cs: ConditionSet) -> list[int]:
+    """The primes dividing some target, ascending, by trial division."""
+    out = set()
+    for c in cs.conditions:
+        n, d = c.value, 2
+        while d * d <= n:
+            while n % d == 0:
+                out.add(d)
+                n //= d
+            d += 1
+        if n > 1:
+            out.add(n)
+    return sorted(out)
 
 
 def trial_order(n: int, p: int) -> int:

@@ -128,11 +128,28 @@ class TestCheck:
         assert main(["factors", path]) == 3
         assert time.perf_counter() - start < 10
         assert "128-bit target" in capsys.readouterr().err
-        # naming the violating prime factors the quotient gcd(n_2, n_3) / 1
+        # naming the violating prime factors the target, since q_{2,3} = semiprime
         bad = [{"indices": [1, 2], "gcd": semiprime}, {"indices": [1, 3], "gcd": semiprime}]
         path = write_doc({"k": 3, "conditions": bad + [{"indices": [2, 3], "gcd": 1}]})
         assert main(["check", path]) == 3
         assert "128-bit target" in capsys.readouterr().err
+
+    def test_violation_is_named_without_factoring_across_targets(self, write_doc, capsys):
+        # n_1 = n_2 = P*Q, so q_{1,2} is the 128-bit product of two prime targets
+        P, Q = 2**64 - 59, 2**64 - 83
+        edges = {(1, 2): 1, (1, 3): P, (2, 3): P, (1, 4): Q, (2, 4): Q}
+        doc = {"k": 4, "conditions": [{"indices": list(t), "gcd": str(v)} for t, v in edges.items()]}
+        path = write_doc(doc)
+        start = time.perf_counter()
+        assert main(["check", path]) == 1
+        assert main(["factors", path]) == 1
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().out.strip() == f"inadmissible: p={Q}, T={{1,2}}"
+        # an unfactorable target that shares no prime with a violation is never factored
+        semiprime = (2**64 - 59) * (2**64 - 83)
+        doc = {"k": 5, "conditions": BAD["conditions"] + [{"indices": [4, 5], "gcd": str(semiprime)}]}
+        assert main(["check", write_doc(doc)]) == 1
+        assert capsys.readouterr().out.strip() == "inadmissible: p=2, T={2,3}"
 
     def test_large_semiprime_is_refused_in_bounded_time(self, write_doc, capsys):
         # two primes just below 2^256: the rho budget shrinks with the bit length
