@@ -3,8 +3,8 @@
 The canonical witness n_i = lcm{f(T) : T contains i} divides every
 solution, and f(T) divides gcd{n_i : i in T}.  So a system is solvable
 exactly when every quotient q_T = gcd{n_i : i in T} / f(T) is 1, and then
-n is its minimal solution.  Only naming a prime of some q_T factors, and
-then only the parts of targets that share a prime with a q_T.
+n is its minimal solution.  A violation's prime comes from trial division of
+the lcm of the q_T, or, if that finds none, from factoring parts of targets.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InadmissibleError, ResourceLimitError
 from .model import ConditionSet, canonical_witness, isolated_indices
-from .primes import factorize
+from .primes import factorize, trial_divisors
 
 _SEARCH_GUARD = 10**9
 
@@ -55,7 +55,9 @@ def _violation(cs: ConditionSet, n: tuple[int, ...]) -> tuple[int, frozenset[int
     bad = lcm(*q)  # never factored: it can join primes of several targets
     if bad == 1:
         return None
-    p = min(min(factorize(d)) for d in {gcd(bad, c.value) for c in cs.conditions} - {1})
+    p = next((p for p in trial_divisors(bad) if bad % p == 0), None)
+    if p is None:  # no small prime: factor the parts of targets instead
+        p = min(min(factorize(d)) for d in {gcd(bad, c.value) for c in cs.conditions} - {1})
     return p, next(c.indices for c, x in zip(cs.conditions, q) if x % p == 0)
 
 

@@ -14,14 +14,17 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from math import inf, log
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .admissibility import pruned_walk
-from .density import DensityResult
 from .errors import ResourceLimitError
 from .model import ConditionSet, isolated_indices, neighbors
 from .primes import mobius_up_to
+
+if TYPE_CHECKING:
+    from .density import DensityResult
 
 _COUNT_GUARD = 10**10
 
@@ -94,15 +97,9 @@ def _normalized(gap: float, x: int, exponent: int) -> float:
     return gap * x / log(x) ** exponent if exponent else gap * x
 
 
-def _constant_value(density_result: DensityResult | float) -> float:
-    if isinstance(density_result, DensityResult):
-        return density_result.value
-    return float(density_result)
-
-
 def empirical_report(cs: ConditionSet, x: int, density_result: DensityResult | float) -> CountReport:
     """Count up to x and compare the empirical density with the constant."""
-    a = _constant_value(density_result)
+    a = float(getattr(density_result, "value", density_result))
     n = count(cs, x)
     density = n / x**cs.k
     gap = abs(density - a)

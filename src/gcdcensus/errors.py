@@ -6,8 +6,8 @@ from __future__ import annotations
 class InadmissibleError(Exception):
     """No tuple of positive integers satisfies the condition system.
 
-    Carries the first violating (prime, index set) pair found, in
-    (prime, lexicographic edge) order, so error messages are stable.
+    Carries the smallest violating prime and the first index set it
+    violates in canonical (ascending-bitmask) order, so messages are stable.
     """
 
     def __init__(self, p: int, indices):

@@ -2,11 +2,12 @@
 
 Everything here is exact.  The Euler product in `density` consumes
 millions of primes from a numpy segmented sieve over odd numbers, 3-13
-presieved (Bays & Hudson, BIT 1977).  Factorization uses trial
-division for the common case of small targets, then a deterministic
-Miller-Rabin test and Brent's cycle-finding variant of Pollard's rho for
-large cofactors; a target that rho cannot split within its step budget
-(_RHO_STEPS, scaled down above 128 bits) is refused with ResourceLimitError.
+presieved (Bays & Hudson, BIT 1977).  `trial_divisors` walks its primes
+below 10^6 for factorization and for the inadmissibility diagnostic, which
+trial-divides the quotients' lcm before it factors anything.  A cofactor left
+over gets a deterministic Miller-Rabin test, then Brent's variant of Pollard's
+rho; a target rho cannot split within _RHO_STEPS, divided by (bits/128)^2
+above 128 bits, is refused with ResourceLimitError.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ _TRIAL_LIMIT = 10**6
 
 # Iterations of x -> x^2 + c one rho search may spend, retries included: about
 # 3 s up to 128 bits, typically enough to split off a prime factor below 2^40.
-# Above 128 bits it shrinks in proportion to the bit length of the cofactor.
+# A step costs about the square of the cofactor's bit length, so above 128 bits
+# the budget shrinks by the square of bits/128 and refusal gets no slower.
 _RHO_STEPS = 1 << 22
 
 # Witnesses proving primality for all n < 3_317_044_064_679_887_385_961_981.
@@ -113,7 +115,7 @@ def is_prime(n: int) -> bool:
 def _brent_rho(n: int, target_bits: int) -> int:
     """A nontrivial factor of composite n (n odd, no factor <= _TRIAL_LIMIT);
     ResourceLimitError, naming target_bits, once the step budget is spent."""
-    limit = _RHO_STEPS * 128 // max(128, n.bit_length())
+    limit = _RHO_STEPS * 128**2 // max(128, n.bit_length()) ** 2
     c, budget = 1, limit
     while True:
         y, m = 2, 128
@@ -146,32 +148,27 @@ def _brent_rho(n: int, target_bits: int) -> int:
         c += 1  # cycle degenerated; retry with the next polynomial
 
 
+def trial_divisors(n: int) -> Iterator[int]:
+    """The primes p <= _TRIAL_LIMIT with p * p <= n, ascending, sieved lazily."""
+    for block in _segments(min(isqrt(n), _TRIAL_LIMIT)):
+        yield from block.tolist()
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization {p: exponent} of a positive integer."""
     n = target = int(n)
     if n < 1:
         raise ValueError(f"cannot factor {n}; expected a positive integer")
     out: dict[int, int] = {}
-    for p in (2, 3, 5):
+    for p in trial_divisors(n):
+        if p * p > n:
+            break
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    d = 7
-    # wheel over residues coprime to 30
-    steps = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while d * d <= n and d <= _TRIAL_LIMIT:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += steps[i]
-        i = (i + 1) % 8
     if n == 1:
         return out
-    if d * d > n:
-        out[n] = out.get(n, 0) + 1
-        return out
-    # remaining cofactor has no prime factor <= _TRIAL_LIMIT
+    # remaining cofactor is prime or has no prime factor <= _TRIAL_LIMIT
     stack = [n]
     while stack:
         m = stack.pop()

@@ -151,6 +151,18 @@ class TestCheck:
         assert main(["check", write_doc(doc)]) == 1
         assert capsys.readouterr().out.strip() == "inadmissible: p=2, T={2,3}"
 
+    def test_small_violating_prime_is_found_before_factoring(self, write_doc, capsys):
+        # q_{2,3} = 2S: trial division names p = 2 without splitting the 128-bit S
+        double = str(2 * (2**64 - 59) * (2**64 - 83))
+        bad = [{"indices": [1, 2], "gcd": double}, {"indices": [1, 3], "gcd": double}]
+        path = write_doc({"k": 3, "conditions": bad + [{"indices": [2, 3], "gcd": 1}]})
+        for command in ("check", "witness", "factors"):
+            start = time.perf_counter()
+            assert main([command, path]) == 1
+            assert time.perf_counter() - start < 1
+            out = capsys.readouterr()
+            assert "p=2, T={2,3}" in out.out + out.err
+
     def test_large_semiprime_is_refused_in_bounded_time(self, write_doc, capsys):
         # two primes just below 2^256: the rho budget shrinks with the bit length
         semiprime = (2**256 - 189) * (2**256 - 357)
@@ -159,6 +171,17 @@ class TestCheck:
         assert main(["factors", write_doc(doc)]) == 3
         assert time.perf_counter() - start < 10
         assert "512-bit target" in capsys.readouterr().err
+
+    def test_largest_targets_are_refused_in_bounded_time(self, write_doc, capsys):
+        # 4249 digits, the Mersenne primes 2^9689-1 and 2^4423-1: the rho
+        # budget shrinks with the square of the bit length, to 345 steps
+        semiprime = (2**9689 - 1) * (2**4423 - 1)
+        doc = {"k": 2, "conditions": [{"indices": [1, 2], "gcd": str(semiprime)}]}
+        start = time.perf_counter()
+        assert main(["factors", write_doc(doc)]) == 3
+        # about 7 s of this is one Miller-Rabin round, whose cost rho's budget cannot cut
+        assert time.perf_counter() - start < 15
+        assert "14112-bit target exceeds the 345-step limit" in capsys.readouterr().err
 
 
 class TestWitness:

@@ -365,6 +365,10 @@ class TestExactSum:
         self.assert_fsum_bits(tiny[:3])
         self.assert_fsum_bits(np.full(1000, 5e-324))
 
+    def test_non_finite_terms_pass_through(self):
+        assert density._exact_sum(np.array([1.0, np.inf])) == np.inf
+        assert np.isnan(density._exact_sum(np.array([1.0, np.nan])))
+
     def test_long_block_cannot_overflow_int64(self):
         # 2^20 mantissas of 2^53 - 1 would overflow a plain int64 sum
         self.assert_fsum_bits(np.full(1 << 20, -0.9999999999999999))

@@ -53,6 +53,21 @@ def test_factorize_large_cofactors():
     assert factorize(2 * (2**61 - 1)) == {2: 1, 2**61 - 1: 1}
 
 
+@pytest.mark.parametrize(
+    "n",
+    [
+        997 * 1000000000039,  # last base prime of the trial sieve, prime cofactor above 10^12
+        1009 * 1000000000039,  # first prime of its segment above the base primes
+        999983**2,  # p * p == n: the largest trial divisor must still be tried
+        999983 * 1000003,
+        1000003**2,
+        2**60,
+    ],
+)
+def test_factorize_at_the_trial_division_edges(n):
+    assert factorize(n) == trial_factorization(n)
+
+
 def test_brent_rho_backtracks_and_retries():
     # with c = 1 the batched gcd overshoots to 25 and the backtrack finds 25
     # again, so the search moves on to c = 2
