@@ -137,8 +137,7 @@ def _cmd_witness(args) -> int:
 
 def _cmd_constant(args) -> int:
     cs = _load(args.file)
-    cover = _parse_ints(args.cover, "--cover")
-    result = density.constant(cs, cover=cover, prime_cutoff=args.prime_bound)
+    result = density.constant(cs, prime_cutoff=args.prime_bound)
     fields = {
         "value": result.value,
         "lower": result.lower,
@@ -168,8 +167,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_verify(args) -> int:
     cs = _load(args.file)
-    cover = _parse_ints(args.cover, "--cover")
-    result = density.constant(cs, cover=cover, prime_cutoff=args.prime_bound)
+    result = density.constant(cs, prime_cutoff=args.prime_bound)
     report = counting.empirical_report(cs, args.limit, result)
     _report(
         args,
@@ -212,8 +210,7 @@ def _cmd_factors(args) -> int:
         primes = list(relevant_primes(cs))
     if not primes:
         raise ValueError("no primes requested and no prime divides any condition target")
-    cover = _parse_ints(args.cover, "--cover")
-    w = frozenset(cover) if cover is not None else find_cover(cs)
+    w = find_cover(cs)
     views = [local_view(cs, p, w) for p in primes]
     factors = [density.local_factor(v) for v in views]
     if args.format == "json":
@@ -258,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("constant", help="evaluate the density constant")
     _add_common(p)
     p.add_argument("--prime-bound", type=int, default=density.DEFAULT_PRIME_CUTOFF)
-    p.add_argument("--cover", default=None, help="comma-separated cover indices")
     p.add_argument("--trace", action="store_true", help="list per-prime factors")
     p.set_defaults(func=_cmd_constant)
 
@@ -271,13 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--prime-bound", type=int, default=density.DEFAULT_PRIME_CUTOFF)
-    p.add_argument("--cover", default=None, help="comma-separated cover indices")
     p.set_defaults(func=_cmd_verify)
 
     p = subs.add_parser("factors", help="print the per-prime views")
     _add_common(p)
     p.add_argument("--primes", default=None, help="comma-separated primes (default: target primes)")
-    p.add_argument("--cover", default=None, help="comma-separated cover indices")
     p.set_defaults(func=_cmd_factors)
 
     return parser

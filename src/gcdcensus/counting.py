@@ -27,6 +27,7 @@ if TYPE_CHECKING:
     from .density import DensityResult
 
 _COUNT_GUARD = 10**10
+_NYMANN_LIMIT = 10**7  # the Mobius sieve and sum to 10^7 take 3-5 s
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,8 @@ def nymann_count(k: int, x: int) -> int:
     """Exact number of k-tuples <= x with overall gcd 1.
 
     Mobius inversion: sum over d <= x of mu(d) * floor(x/d)^k.  Used as
-    an independent oracle for the single full-gcd condition.
+    an independent oracle for the single full-gcd condition.  Guarded by
+    x <= 10**7, since the sieve takes memory and time linear in x.
     """
     k = operator.index(k)
     x = operator.index(x)
@@ -87,6 +89,8 @@ def nymann_count(k: int, x: int) -> int:
         raise ValueError(f"k must be >= 2, got {k}")
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
+    if x > _NYMANN_LIMIT:
+        raise ResourceLimitError(f"x = {x} exceeds the {_NYMANN_LIMIT} limit on the Mobius sieve")
     mu = mobius_up_to(x)
     return sum(int(mu[d]) * (x // d) ** k for d in range(1, x + 1))
 

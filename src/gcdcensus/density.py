@@ -242,11 +242,7 @@ def _euler_product(
     return exp(fsum(log_blocks)), largest, exact
 
 
-def constant(
-    cs: ConditionSet,
-    cover: Iterable[int] | None = None,
-    prime_cutoff: int = DEFAULT_PRIME_CUTOFF,
-) -> DensityResult:
+def constant(cs: ConditionSet, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> DensityResult:
     """Truncated Euler product for the density constant, with certified tail.
 
     Exact rational factors are used at the target primes and the primes
@@ -260,8 +256,8 @@ def constant(
     """
     cutoff = _checked_cutoff(prime_cutoff)
     witness(cs)  # raises InadmissibleError
-    w = frozenset(find_cover(cs) if cover is None else cover)
-    poly = generic_factor_polynomial(cs, w)  # checks w
+    w = find_cover(cs)
+    poly = generic_factor_polynomial(cs, w)
     tail_c = poly.tail_constant
     special = relevant_primes(cs)
     if special and cutoff < special[-1]:

@@ -6,8 +6,9 @@ presieved (Bays & Hudson, BIT 1977).  `trial_divisors` walks its primes
 below 10^6 for factorization and for the inadmissibility diagnostic, which
 trial-divides the quotients' lcm before it factors anything.  A cofactor left
 over gets a deterministic Miller-Rabin test, then Brent's variant of Pollard's
-rho; a target rho cannot split within _RHO_STEPS, divided by (bits/128)^2
-above 128 bits, is refused with ResourceLimitError.
+rho; a target rho cannot split within its step budget (_RHO_STEPS up to 128
+bits, then divided by bits/128, and above 1024 bits also by bits/1024) is
+refused with ResourceLimitError.
 """
 
 from __future__ import annotations
@@ -23,9 +24,11 @@ from .errors import ResourceLimitError
 _TRIAL_LIMIT = 10**6
 
 # Iterations of x -> x^2 + c one rho search may spend, retries included: about
-# 3 s up to 128 bits, typically enough to split off a prime factor below 2^40.
-# A step costs about the square of the cofactor's bit length, so above 128 bits
-# the budget shrinks by the square of bits/128 and refusal gets no slower.
+# 1.5-3 s up to 128 bits, typically enough to split off a prime factor below
+# 2^40.  A step costs about 0.7 us at 128 bits, 2.6 us at 512, 5 us at 1024
+# and 47 us at 4096 (2-vCPU VM): near-linear in the bit length up to 1024 bits,
+# about quadratic above.  So the budget shrinks by bits/128 above 128 bits and
+# by bits/1024 again above 1024, and rho refuses in 1.5-3 s at 128-4096 bits.
 _RHO_STEPS = 1 << 22
 
 # Witnesses proving primality for all n < 3_317_044_064_679_887_385_961_981.
@@ -115,7 +118,8 @@ def is_prime(n: int) -> bool:
 def _brent_rho(n: int, target_bits: int) -> int:
     """A nontrivial factor of composite n (n odd, no factor <= _TRIAL_LIMIT);
     ResourceLimitError, naming target_bits, once the step budget is spent."""
-    limit = _RHO_STEPS * 128**2 // max(128, n.bit_length()) ** 2
+    bits = n.bit_length()
+    limit = _RHO_STEPS * 128 * 1024 // (max(128, bits) * max(1024, bits))
     c, budget = 1, limit
     while True:
         y, m = 2, 128

@@ -92,7 +92,7 @@ class TestParsing:
         assert main(["check", str(path)]) == 2
         assert field in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, flag", [("constant", "--cover"), ("factors", "--primes")])
+    @pytest.mark.parametrize("command, flag", [("factors", "--primes")])
     def test_bad_integer_list_exits_2_naming_the_flag(self, write_doc, capsys, command, flag):
         assert main([command, write_doc(GOOD), flag, "1,x"]) == 2
         assert f"error: {flag}: expected comma-separated integers" in capsys.readouterr().err
@@ -173,15 +173,16 @@ class TestCheck:
         assert "512-bit target" in capsys.readouterr().err
 
     def test_largest_targets_are_refused_in_bounded_time(self, write_doc, capsys):
-        # 4249 digits, the Mersenne primes 2^9689-1 and 2^4423-1: the rho
-        # budget shrinks with the square of the bit length, to 345 steps
+        # 4249 digits, the Mersenne primes 2^9689-1 and 2^4423-1: above 1024
+        # bits the rho budget shrinks with the square of the bit length, to
+        # 2^22 * 128 * 1024 / 14112^2 = 2760 steps
         semiprime = (2**9689 - 1) * (2**4423 - 1)
         doc = {"k": 2, "conditions": [{"indices": [1, 2], "gcd": str(semiprime)}]}
         start = time.perf_counter()
         assert main(["factors", write_doc(doc)]) == 3
         # about 7 s of this is one Miller-Rabin round, whose cost rho's budget cannot cut
         assert time.perf_counter() - start < 15
-        assert "14112-bit target exceeds the 345-step limit" in capsys.readouterr().err
+        assert "14112-bit target exceeds the 2760-step limit" in capsys.readouterr().err
 
 
 class TestWitness:
@@ -267,13 +268,15 @@ class TestConstant:
         traced = json.loads(capsys.readouterr().out)["factor_trace"]
         assert [entry["p"] for entry in traced] == expected
 
-    def test_cover_choice_does_not_change_value(self, write_doc, capsys):
-        path = write_doc(CHAIN)
-        assert main(["constant", path, "--prime-bound", "10000", "--cover", "2"]) == 0
-        first = capsys.readouterr().out
-        assert main(["constant", path, "--prime-bound", "10000", "--cover", "1,3"]) == 0
-        second = capsys.readouterr().out
-        assert first.splitlines()[0] == second.splitlines()[0]
+    @pytest.mark.parametrize(
+        "command", [["constant"], ["verify", "--limit", "10"], ["factors"]], ids=lambda c: c[0]
+    )
+    def test_cover_is_not_an_option(self, write_doc, capsys, command):
+        # the constant does not depend on the cover; find_cover picks it
+        with pytest.raises(SystemExit) as exc:
+            main([*command, write_doc(CHAIN), "--cover", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cover 1" in capsys.readouterr().err
 
     def test_inadmissible_exit(self, write_doc):
         assert main(["constant", write_doc(BAD)]) == 1

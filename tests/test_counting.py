@@ -16,6 +16,7 @@ from gcdcensus import (
     empirical_report,
     nymann_count,
 )
+from gcdcensus import counting
 
 from helpers import condition_sets, naive_count, trial_mobius
 
@@ -129,6 +130,16 @@ class TestNymann:
             nymann_count(1, 10)
         with pytest.raises(ValueError):
             nymann_count(2, 0)
+
+    def test_guard_refuses_before_sieving(self, monkeypatch):
+        def no_sieve(n):
+            raise AssertionError(f"sieved to {n}")
+
+        monkeypatch.setattr(counting, "mobius_up_to", no_sieve)
+        with pytest.raises(ResourceLimitError, match=r"x = 10000000001 exceeds the 10000000 limit"):
+            nymann_count(2, 10**10 + 1)
+        with pytest.raises(AssertionError, match="sieved to 10000000"):
+            nymann_count(2, 10**7)  # the largest accepted bound
 
 
 class TestEmpiricalReport:

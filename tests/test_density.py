@@ -240,9 +240,6 @@ class TestConstant:
         res = constant(cs, prime_cutoff=10**4)
         assert res.cover == find_cover(cs)
         assert res.tail_constant == generic_factor_polynomial(cs, res.cover).tail_constant
-        res = constant(cs, cover={1, 3}, prime_cutoff=10**4)
-        assert res.cover == {1, 3}
-        assert res.tail_constant == generic_factor_polynomial(cs, {1, 3}).tail_constant > 0
 
     def test_trace_contents(self):
         res = constant(condition_set(3, {(1, 2): 6, (2, 3): 10}), prime_cutoff=10**4)
@@ -266,9 +263,9 @@ class TestConstant:
             w2 = frozenset(range(1, cs.k + 1)) - isolated_indices(cs)
             if w1 == w2:
                 continue
-            a = constant(cs, cover=w1, prime_cutoff=10**4).value
-            b = constant(cs, cover=w2, prime_cutoff=10**4).value
-            assert abs(a - b) <= 1e-12 * abs(a)
+            assert generic_factor_polynomial(cs, w1) == generic_factor_polynomial(cs, w2)
+            for p in sorted({*relevant_primes(cs), 2, 3, 5}):
+                assert local_factor(local_view(cs, p, w1)) == local_factor(local_view(cs, p, w2))
             done += 1
 
 

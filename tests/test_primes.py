@@ -68,6 +68,16 @@ def test_factorize_at_the_trial_division_edges(n):
     assert factorize(n) == trial_factorization(n)
 
 
+def test_factorize_splits_a_32_bit_prime_off_a_1024_bit_target():
+    # rho needs about 131,000 steps of budget here: more than a budget shrunk
+    # by (bits/128)^2 allows at 1024 bits (65,536), less than one shrunk by
+    # bits/128 (524,288)
+    p = 2**32 + 15
+    cofactor = 2**991 + 521
+    assert is_prime(p) and is_prime(cofactor) and (p * cofactor).bit_length() == 1024
+    assert factorize(p * cofactor) == {p: 1, cofactor: 1}
+
+
 def test_brent_rho_backtracks_and_retries():
     # with c = 1 the batched gcd overshoots to 25 and the backtrack finds 25
     # again, so the search moves on to c = 2
