@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Exact counts converging to the density constant.
 
-count(cs, x) scans [1, x]^k exactly (with partial-gcd pruning), so the
-empirical density count / x^k can be compared against the Euler-product
-constant.  The drift shrinks like 1/x up to a power of log x; the
+count(cs, x) is exact: it sums the system's Dirichlet series, g(d) times
+prod floor(x / d_i) over d in [1, x]^k, prime by prime (or, on dense
+systems with many constrained indices, scans the box with partial-gcd
+pruning), so the empirical density count / x^k can be compared against
+the Euler-product constant.  The drift shrinks like 1/x up to a power of log x; the
 normalized_error column rescales it by x / (log x)^(k-1) to make the
 convergence visible.
 """

@@ -1,19 +1,30 @@
-"""Exact enumeration of satisfying tuples and convergence diagnostics.
+"""Exact counts of satisfying tuples and convergence diagnostics.
 
-The counter here is deliberately simple: `admissibility.pruned_walk`, a
-nested scan over [1, x]^k pruned as soon as a partial gcd stops being a
-multiple of its target, with the innermost coordinate vectorized.  The
-walk is shared with `brute_force_find`; the tests keep an independent
-oracle for each (`naive_count`, `naive_first`).  It is the trusted oracle
-the density constant is checked against, so no sieve tricks beyond the
-Mobius-inversion count of fully-coprime tuples.
+The indicator delta of a system is multiplicative in every coordinate, so
+delta = g * 1 coordinatewise (Dirichlet convolution).  Over the m
+coordinates that lie in some condition (each other one is a free factor x),
+
+    count(x) = sum over d in [1, x]^m of g(d) * prod_i floor(x / d_i),
+
+with g(d) = prod_p g_p(v_p(d)): the Dirichlet-series view of the paper.
+At a prime dividing no target, g_p is nonzero only on 0/1 exponent
+patterns, the dependent index sets S, with g(S) the signed count of the
+independent subsets of S; at a target prime it is the m-fold finite
+difference of the local indicator.  `_walk` sums the series prime by
+prime in ascending order.  It loses to `admissibility.pruned_walk`, the
+partial-gcd-pruned box scan shared with `brute_force_find`, on dense
+systems with many active coordinates, so `count` picks one of the two
+per call from the system alone (`_prefers_walk`).  The tests keep
+full-box enumeration as the oracle for both, and `nymann_count`, a
+Mobius sum, as an independent oracle for the fully-coprime system.
 """
 
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
-from math import inf, log
+from math import inf, log, prod
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -21,13 +32,19 @@ import numpy as np
 from .admissibility import pruned_walk
 from .errors import ResourceLimitError
 from .model import ConditionSet, isolated_indices, neighbors
-from .primes import mobius_up_to
+from .padic import padic_order, relevant_primes
+from .primes import mobius_up_to, primes_up_to
 
 if TYPE_CHECKING:
     from .density import DensityResult
 
 _COUNT_GUARD = 10**10
-_NYMANN_LIMIT = 10**7  # the Mobius sieve and sum to 10^7 take 3-5 s
+_NYMANN_LIMIT = 10**7  # the Mobius sieve and block sum to 10^7 take about 0.4 s and 90 MB
+
+# The walk's side of `_prefers_walk`; the table cap also bounds the memory of
+# a target prime's exponent table (2^20 int64 entries, 8 MB).
+_WALK_MAX_ACTIVE = 16
+_TABLE_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -53,8 +70,8 @@ def count(cs: ConditionSet, x: int) -> int:
     """Exact number of tuples in [1, x]^k satisfying every condition.
 
     Guarded by x**k <= 10**10.  Coordinates in no condition contribute a
-    free factor of x each; the rest are scanned with partial-gcd pruning
-    and a vectorized innermost coordinate.
+    free factor of x each; the rest are counted by the prime-pattern walk
+    or by the pruned box scan, whichever `_prefers_walk` picks.
     """
     x = operator.index(x)
     if x < 1:
@@ -66,6 +83,34 @@ def count(cs: ConditionSet, x: int) -> int:
     active = sorted(set(range(1, cs.k + 1)) - isolated_indices(cs))
     if not active:
         return x**cs.k
+    kernel = _walk if _prefers_walk(cs, active, x) else _scan
+    return kernel(cs, active, x) * x ** (cs.k - len(active))
+
+
+def _prefers_walk(cs: ConditionSet, active: list[int], x: int) -> bool:
+    """The walk for m <= 4 active coordinates, or for m <= 16 when at most
+    half of the 2^m index sets S have g(S) != 0; the scan otherwise, and
+    whenever a target prime's exponent table would exceed _TABLE_LIMIT.
+
+    The walk's node count grows with the number of nonzero patterns, the
+    scan's cost with x^(m-1); complete pairwise systems with m >= 5 sit
+    on the scan's side (timings in CHANGES.md).
+    """
+    m = len(active)
+    if m > _WALK_MAX_ACTIVE:
+        return False
+    for p in relevant_primes(cs):
+        top = max(padic_order(c.value, p) for c in cs.conditions)
+        if (_exponent_cap(p, top, x) + 1) ** m > _TABLE_LIMIT:
+            return False
+    if m <= 4:
+        return True
+    weights = _generic_weights(_position_masks(cs, active), m)
+    return 2 * int(np.count_nonzero(weights)) <= weights.size
+
+
+def _scan(cs: ConditionSet, active: list[int], x: int) -> int:
+    """Solutions in [1, x]^m over the active coordinates, by `pruned_walk`."""
     total = 0
 
     def visit(prefix: list[int], hits: np.ndarray) -> None:
@@ -73,15 +118,138 @@ def count(cs: ConditionSet, x: int) -> int:
         total += int(np.count_nonzero(hits))
 
     pruned_walk(cs, active, x, visit)
-    return total * x ** (cs.k - len(active))
+    return total
+
+
+def _position_masks(cs: ConditionSet, active: list[int]) -> list[int]:
+    """Each condition's index set as a bitmask over positions in `active`."""
+    pos = {i: b for b, i in enumerate(active)}
+    return [sum(1 << pos[i] for i in c.indices) for c in cs.conditions]
+
+
+def _exponent_cap(p: int, top: int, x: int) -> int:
+    """min(top + 1, floor(log_p x)): past top + 1 every g_p vanishes, and
+    past log_p x no d_i <= x has room."""
+    cap, power = 0, p
+    while cap <= top and power <= x:
+        cap, power = cap + 1, power * p
+    return cap
+
+
+def _generic_weights(masks: list[int], m: int) -> np.ndarray:
+    """g(S) for every S subset of range(m), as an array indexed by mask.
+
+    g(S) = sum over independent U subset of S of (-1)^|S - U|: the Mobius
+    transform over subsets of the independence indicator, one numpy pass
+    per bit.  It is 1 at the empty set and 0 at every other independent S.
+    """
+    subsets = np.arange(1 << m, dtype=np.int64)
+    weights = np.ones(1 << m, dtype=np.int64)
+    for e in set(masks):
+        weights[(subsets & e) == e] = 0
+    for b in range(m):
+        halves = weights.reshape(-1, 2, 1 << b)
+        halves[:, 1, :] -= halves[:, 0, :]
+    return weights
+
+
+def _prime_table(
+    m: int, masks: list[int], orders: list[int], p: int, x: int
+) -> list[tuple[tuple[int, ...], int]]:
+    """(p^a_1, ..., p^a_m) with g_p(a) for each exponent pattern a with
+    g_p(a) != 0, at a target prime p whose order in target j is orders[j].
+
+    g_p is the m-fold finite difference of the local indicator delta_p(a),
+    which holds when min{a_i : i in T} equals the order of T's target for
+    every condition T; exponents stop at `_exponent_cap`.
+    """
+    cap = _exponent_cap(p, max(orders), x)
+    axes = [np.arange(cap + 1).reshape([-1 if j == i else 1 for j in range(m)]) for i in range(m)]
+    delta = np.ones((cap + 1,) * m, dtype=bool)
+    for mask, e in zip(masks, orders):
+        low = None
+        for i in range(m):
+            if mask >> i & 1:
+                low = axes[i] if low is None else np.minimum(low, axes[i])
+        delta &= low == e
+    g = delta.astype(np.int64)
+    for i in range(m):
+        g = np.diff(g, axis=i, prepend=0)
+    where = np.nonzero(g)
+    powers = p ** np.arange(cap + 1, dtype=np.int64)
+    divisors = np.stack([powers[a] for a in where], axis=1).tolist()
+    return list(zip(map(tuple, divisors), g[where].tolist()))
+
+
+def _walk(cs: ConditionSet, active: list[int], x: int) -> int:
+    """Solutions in [1, x]^m over the active coordinates, by the series
+    sum of g(d) * prod_i floor(x / d_i) over d in [1, x]^m.
+
+    The target primes' patterns come first, each merging the partial
+    products into distinct quotient vectors y = floor(x / d); every other
+    prime then multiplies some dependent S by p, in ascending order.  A
+    node sums its children's terms over a numpy array of primes at once
+    and recurses only into children where a further prime still fits.
+    """
+    m = len(active)
+    masks = _position_masks(cs, active)
+    special = relevant_primes(cs)
+    nodes = {(x,) * m: 1}
+    for p in special:
+        table = _prime_table(m, masks, [padic_order(c.value, p) for c in cs.conditions], p, x)
+        merged: dict[tuple[int, ...], int] = {}
+        for y, w in nodes.items():
+            for divisors, g in table:
+                if all(d <= v for d, v in zip(divisors, y)):
+                    child = tuple(v // d for v, d in zip(y, divisors))
+                    merged[child] = merged.get(child, 0) + w * g
+        nodes = {y: w for y, w in merged.items() if w}
+
+    weights = _generic_weights(masks, m)
+    patterns = np.flatnonzero(weights)[1:]  # the empty set is the node itself
+    members = ((patterns[:, None] >> np.arange(m)) & 1).astype(bool)
+    pattern_weights = weights[patterns].tolist()
+    # every S with g(S) != 0 contains a condition set holding no other, so a
+    # further prime fits exactly when it fits all of one such set
+    minimal = [e for e in set(masks) if not any(f != e and f & e == f for f in masks)]
+    edges = [[i for i in range(m) if e >> i & 1] for e in minimal]
+    width = max(map(len, edges))
+    edges = np.array([e + e[:1] * (width - len(e)) for e in edges])  # min ignores the repeats
+    ps = primes_up_to(x)
+    ps = np.append(ps[~np.isin(ps, special)], x + 1)  # x + 1 never fits
+    ps_list = ps.tolist()
+
+    def below(y: list[int], w: int, start: int) -> int:
+        # the terms of every node reached from y by primes >= ps[start]
+        ya = np.array(y, dtype=np.int64)
+        limits = np.where(members, ya, x + 1).min(axis=1)
+        live = np.flatnonzero(limits >= ps_list[start])
+        if not live.size:
+            return 0
+        stop = bisect_right(ps_list, int(limits[live].max()), start)
+        qs = ps[start:stop]
+        z = np.where(members[live][:, :, None], ya[:, None] // qs, ya[:, None])
+        terms = z.prod(axis=1)  # at most x^m <= x^k <= 10^10: exact in int64
+        sums = terms.sum(axis=1).tolist()
+        total = w * sum(pattern_weights[s] * t for s, t in zip(live.tolist(), sums))
+        fits = z[:, edges, :].min(axis=2).max(axis=1)
+        deeper = (terms > 0) & (fits >= ps[start + 1 : stop + 1])
+        for a, j in zip(*np.nonzero(deeper)):
+            s = int(live[a])
+            total += below(z[a, :, j].tolist(), w * pattern_weights[s], start + int(j) + 1)
+        return total
+
+    return sum(w * prod(y) + below(list(y), w, 0) for y, w in nodes.items())
 
 
 def nymann_count(k: int, x: int) -> int:
     """Exact number of k-tuples <= x with overall gcd 1.
 
-    Mobius inversion: sum over d <= x of mu(d) * floor(x/d)^k.  Used as
-    an independent oracle for the single full-gcd condition.  Guarded by
-    x <= 10**7, since the sieve takes memory and time linear in x.
+    Mobius inversion: sum over d <= x of mu(d) * floor(x/d)^k, taken over
+    the runs of d with equal floor(x/d) as differences of the partial sums
+    of mu.  Used as an independent oracle for the single full-gcd
+    condition.  Guarded by x <= 10**7, since the sieve takes memory and
+    time linear in x.
     """
     k = operator.index(k)
     x = operator.index(x)
@@ -91,8 +259,14 @@ def nymann_count(k: int, x: int) -> int:
         raise ValueError(f"x must be >= 1, got {x}")
     if x > _NYMANN_LIMIT:
         raise ResourceLimitError(f"x = {x} exceeds the {_NYMANN_LIMIT} limit on the Mobius sieve")
-    mu = mobius_up_to(x)
-    return sum(int(mu[d]) * (x // d) ** k for d in range(1, x + 1))
+    mertens = np.cumsum(mobius_up_to(x), dtype=np.int32)  # |M(n)| <= n
+    total, d = 0, 1
+    while d <= x:  # one term per distinct quotient q = x // d, about 2 sqrt(x)
+        q = x // d
+        last = x // q
+        total += int(mertens[last] - mertens[d - 1]) * q**k
+        d = last + 1
+    return total
 
 
 def _normalized(gap: float, x: int, exponent: int) -> float:

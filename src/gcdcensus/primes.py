@@ -186,13 +186,20 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def mobius_up_to(n: int) -> np.ndarray:
-    """The Mobius function mu(0..n) as an int8 array (mu(0) set to 0)."""
+    """The Mobius function mu(0..n) as an int8 array (mu(0) set to 0).
+
+    Sieves with the primes <= sqrt(n) only, dividing each m once by each
+    of them that divides it: a squarefree m left with a cofactor above 1
+    has exactly one prime factor above sqrt(n), which flips its sign.
+    """
     if n < 0:
         raise ValueError("bound must be nonnegative")
     mu = np.ones(n + 1, dtype=np.int8)
     mu[0] = 0
-    for p in primes_up_to(n):
-        p = int(p)
+    rest = np.arange(n + 1, dtype=np.min_scalar_type(n))
+    for p in primes_up_to(isqrt(n)).tolist():
         mu[p::p] *= -1
+        rest[p::p] //= p
         mu[p * p :: p * p] = 0
+    mu[rest > 1] *= -1
     return mu

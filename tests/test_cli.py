@@ -362,8 +362,12 @@ class TestFactors:
         assert doc[0]["z_set"] == []
         assert doc[1]["z_set"] == [3]
 
-    def test_no_primes_available(self, write_doc):
-        assert main(["factors", write_doc(PAIR2)]) == 2
+    def test_no_primes_available(self, write_doc, capsys):
+        # all targets 1: a valid system with no target primes reports nothing
+        assert main(["factors", write_doc(PAIR2)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["factors", write_doc(PAIR2), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == []
 
     def test_inadmissible_exit(self, write_doc):
         assert main(["factors", write_doc(BAD), "--primes", "2"]) == 1

@@ -1,6 +1,7 @@
 """Exact counters against independent enumeration and Mobius oracles."""
 
 import random
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -16,13 +17,40 @@ from gcdcensus import (
     empirical_report,
     nymann_count,
 )
-from gcdcensus import counting
+from gcdcensus import FactorPolynomial, counting, find_cover, generic_factor_polynomial, isolated_indices
 
 from helpers import condition_sets, naive_count, trial_mobius
 
 
 def mobius_count_oracle(k: int, x: int) -> int:
     return sum(trial_mobius(d) * (x // d) ** k for d in range(1, x + 1))
+
+
+def active_of(cs: ConditionSet) -> list[int]:
+    return sorted(set(range(1, cs.k + 1)) - isolated_indices(cs))
+
+
+def pairwise(k: int, target: int = 1) -> ConditionSet:
+    return condition_set(k, dict.fromkeys(combinations(range(1, k + 1), 2), target))
+
+
+def path(k: int, target: int = 1) -> ConditionSet:
+    return condition_set(k, {(i, i + 1): target for i in range(1, k)})
+
+
+@st.composite
+def prime_power_systems(draw):
+    """Up to 3 conditions on k <= 4 indices, some of them isolated, with
+    targets from 1, 2, 3, 4, 6, 8, 9 and 12: the gcds of a base tuple on
+    their index sets, or drawn freely (and then often unsolvable)."""
+    k = draw(st.integers(2, 4))
+    used = draw(st.lists(st.integers(1, k), min_size=2, max_size=k, unique=True))
+    edges = [e for size in range(2, len(used) + 1) for e in combinations(sorted(used), size)]
+    chosen = draw(st.lists(st.sampled_from(edges), min_size=1, max_size=3, unique=True))
+    values = st.sampled_from((1, 2, 3, 4, 6, 8, 9, 12))
+    base = draw(st.lists(values, min_size=k, max_size=k))
+    free = draw(st.booleans())
+    return condition_set(k, {e: draw(values) if free else gcd(*(base[i - 1] for i in e)) for e in chosen})
 
 
 class TestCount:
@@ -112,6 +140,69 @@ class TestCount:
                     break
             cs = condition_set(k, targets)
             assert count(cs, x) == naive_count(cs, x) > 0
+
+
+class TestWalk:
+    """The prime-pattern walk on its own, bypassing the dispatch in `count`."""
+
+    @given(prime_power_systems(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_naive_enumeration(self, cs, data):
+        # x = 1 and targets above x included; isolated indices add a free factor
+        x = data.draw(st.integers(1, 12 if cs.k <= 3 else 8))
+        active = active_of(cs)
+        assert counting._walk(cs, active, x) * x ** (cs.k - len(active)) == naive_count(cs, x)
+
+    @pytest.mark.parametrize(
+        "targets, x",
+        [({(1, 2): 4, (2, 3): 8}, 17), ({(1, 2, 3): 9}, 20), ({(1, 2): 12, (1, 3): 9}, 30), ({(1, 2): 7}, 6)],
+    )
+    def test_prime_powers_and_targets_above_x(self, targets, x):
+        cs = condition_set(3, targets)
+        assert counting._walk(cs, [1, 2, 3], x) == naive_count(cs, x)
+
+    @given(condition_sets(max_k=8, allow_empty=False))
+    @settings(max_examples=60, deadline=None)
+    def test_generic_weights_sum_to_factor_polynomial(self, cs):
+        # sum of g(S) over |S| = j is c_j: both are the local factor at a
+        # prime dividing no target, as a polynomial in 1/p
+        active = active_of(cs)
+        weights = counting._generic_weights(counting._position_masks(cs, active), len(active))
+        by_size = [0] * (len(active) + 1)
+        for mask, g in enumerate(weights.tolist()):
+            by_size[bin(mask).count("1")] += g
+        assert FactorPolynomial(tuple(by_size)) == generic_factor_polynomial(cs, find_cover(cs))
+
+    @pytest.mark.parametrize(
+        "cs, x, walk",
+        [
+            (pairwise(4), 20, True),  # m <= 4
+            (condition_set(4, {(1, 2): 12, (2, 3): 18, (3, 4): 6}), 40, True),
+            (path(6), 8, True),  # few dependent sets carry a weight
+            (condition_set(5, {(1, 2, 3): 1, (3, 4): 1, (4, 5): 1}), 12, True),
+            (pairwise(5), 10, False),  # most index sets carry a weight
+            (pairwise(6, 2), 8, False),
+            (path(17), 2, False),  # more than 16 active coordinates
+            (path(13, 2), 4, False),  # the table at p = 2 holds 3^13 entries
+        ],
+    )
+    def test_dispatch_sides_agree_with_scan(self, cs, x, walk):
+        active = active_of(cs)
+        assert counting._prefers_walk(cs, active, x) is walk
+        assert count(cs, x) == counting._scan(cs, active, x)
+
+    # the count-dense benchmark systems without an oracle in the benchmark
+    @pytest.mark.parametrize(
+        "cs, x, expected",
+        [
+            (pairwise(4), 57, 1162053),
+            (pairwise(4), 58, 1207429),
+            (condition_set(5, {(1, 2, 3): 1, (3, 4): 1, (4, 5): 1}), 26, 4587934),
+        ],
+    )
+    def test_count_dense_systems_match_scan(self, cs, x, expected):
+        assert counting._prefers_walk(cs, active_of(cs), x)
+        assert count(cs, x) == counting._scan(cs, active_of(cs), x) == expected
 
 
 class TestNymann:

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from gcdcensus import primes
 from gcdcensus.primes import factorize, is_prime, mobius_up_to, prime_blocks, primes_up_to
 
+from helpers import trial_mobius
+
 SMALL = primes_up_to(1000).tolist()
 ABOVE_TRIAL_LIMIT = [p for p in primes_up_to(10**6 + 1000).tolist() if p > 10**6]
 
@@ -89,6 +91,16 @@ def test_nonpositive_inputs_rejected():
         factorize(0)
     with pytest.raises(ValueError, match="nonnegative"):
         mobius_up_to(-1)
+
+
+def test_mobius_matches_trial_division():
+    # every bound up to 170 crosses the squares 4, 9, ..., 169 that change
+    # which primes the sieve uses and which factors are left over
+    expected = [0] + [trial_mobius(m) for m in range(1, 171)]
+    for n in range(171):
+        got = mobius_up_to(n)
+        assert got.dtype == np.int8
+        assert got.tolist() == expected[: n + 1]
 
 
 def test_primes_up_to_matches_trial_division():
