@@ -37,8 +37,9 @@ print("\nwitness for the solvable system:", w, "delta:", delta(solvable, w))
 w = witness(condition_set(3, {(1, 2): 6, (2, 3): 10}))
 print("witness for (12)->6, (23)->10:", w)
 
-# Exhaustive search agrees: it finds a tuple exactly when one exists,
-# and the first tuple it finds is divisible by every forced prime power.
+# Every solution is a coordinatewise multiple of the witness, so a box
+# holds a solution exactly when it holds the witness, and the witness is
+# the first solution in it; there is nothing left to search.
 print("\nsearch in [1, 16]^3:")
 print("  solvable ->", brute_force_find(solvable, 16))
 print("  clashing ->", brute_force_find(clash, 16))

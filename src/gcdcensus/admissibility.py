@@ -13,13 +13,9 @@ import operator
 from dataclasses import dataclass
 from math import gcd, lcm
 
-import numpy as np
-
-from .errors import InadmissibleError, ResourceLimitError
-from .model import ConditionSet, canonical_witness, isolated_indices
+from .errors import InadmissibleError
+from .model import ConditionSet, canonical_witness, delta
 from .primes import factorize, trial_divisors
-
-_SEARCH_GUARD = 10**9
 
 
 @dataclass(frozen=True)
@@ -61,84 +57,15 @@ def _violation(cs: ConditionSet, n: tuple[int, ...]) -> tuple[int, frozenset[int
     return p, next(c.indices for c, x in zip(cs.conditions, q) if x % p == 0)
 
 
-def pruned_walk(cs: ConditionSet, active: list[int], bound: int, visit) -> bool:
-    """Depth-first walk of [1, bound] over the `active` coordinates, ascending.
-
-    `active` must hold every index of every condition.  A prefix is cut once
-    a partial gcd stops being a multiple of its target (or, for a complete
-    condition, equal to it).  visit(prefix, hits) is called for each prefix
-    of all but the last coordinate that survives, with a boolean mask over
-    1..bound of the last values completing a solution; `prefix` is reused.
-    A truthy return stops the walk; returns whether it was stopped.
-    """
-    values = [c.value for c in cs.conditions]
-    by_pos: dict[int, list[tuple[int, bool]]] = {i: [] for i in active}
-    for ci, c in enumerate(cs.conditions):
-        last = max(c.indices)
-        for i in c.indices:
-            by_pos[i].append((ci, i == last))
-    steps = [by_pos[i] for i in active]
-    depth = len(active) - 1
-    ns = np.arange(1, bound + 1, dtype=np.int64)
-    partial = [0] * len(values)
-    prefix = [0] * depth
-
-    def walk(pos: int) -> bool:
-        if pos == depth:
-            mask = np.ones(bound, dtype=bool)
-            for ci, complete in steps[pos]:
-                g = np.gcd(partial[ci], ns)
-                mask &= g == values[ci] if complete else g % values[ci] == 0
-            return visit(prefix, mask)
-        for n in range(1, bound + 1):
-            saved = []
-            ok = True
-            for ci, complete in steps[pos]:
-                g = gcd(partial[ci], n)
-                if (g != values[ci]) if complete else (g % values[ci] != 0):
-                    ok = False
-                    break
-                saved.append((ci, partial[ci]))
-                partial[ci] = g
-            if ok:
-                prefix[pos] = n
-                if walk(pos + 1):
-                    return True
-            for ci, old in saved:
-                partial[ci] = old
-        return False
-
-    return bool(walk(0))
-
-
 def brute_force_find(cs: ConditionSet, bound: int) -> tuple[int, ...] | None:
     """Lexicographically first solution in [1, bound]^k, or None.
 
-    Independent search oracle: `pruned_walk` stopped at the first hit, with
-    coordinates in no condition set to 1 (so the result stays first).
-    Guarded by bound**k <= 10**9.
+    Every solution is a coordinatewise multiple of the canonical witness,
+    so the witness is the first solution in any box that holds one: it is
+    returned when it fits in the box and meets every condition.
     """
     bound = operator.index(bound)
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    if bound**cs.k > _SEARCH_GUARD:
-        raise ResourceLimitError(
-            f"bound**k = {bound}**{cs.k} exceeds the {_SEARCH_GUARD} search guard"
-        )
-    if any(c.value > bound for c in cs.conditions):
-        return None  # gcd of entries <= bound can never reach the target
-
-    entries = [1] * cs.k
-    active = sorted(set(range(1, cs.k + 1)) - isolated_indices(cs))
-    if not active:
-        return tuple(entries)
-
-    def visit(prefix: list[int], hits: np.ndarray) -> bool:
-        found = np.flatnonzero(hits)
-        if found.size == 0:
-            return False
-        for i, n in zip(active, prefix + [int(found[0]) + 1]):
-            entries[i - 1] = n
-        return True
-
-    return tuple(entries) if pruned_walk(cs, active, bound, visit) else None
+    n = canonical_witness(cs)
+    return n if max(n) <= bound and delta(cs, n) else None

@@ -11,10 +11,10 @@ At a prime dividing no target, g_p is nonzero only on 0/1 exponent
 patterns, the dependent index sets S, with g(S) the signed count of the
 independent subsets of S; at a target prime it is the m-fold finite
 difference of the local indicator.  `_walk` sums the series prime by
-prime in ascending order.  It loses to `admissibility.pruned_walk`, the
-partial-gcd-pruned box scan shared with `brute_force_find`, on dense
-systems with many active coordinates, so `count` picks one of the two
-per call from the system alone (`_prefers_walk`).  The tests keep
+prime in ascending order.  It loses to `_scan`, a depth-first box scan
+cut wherever a partial gcd already misses its target, on dense systems
+with many active coordinates, so `count` picks one of the two per call
+from the system alone (`_prefers_walk`).  The tests keep
 full-box enumeration as the oracle for both, and `nymann_count`, a
 Mobius sum, as an independent oracle for the fully-coprime system.
 """
@@ -24,14 +24,13 @@ from __future__ import annotations
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import inf, log, prod
+from math import gcd, inf, log, prod
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .admissibility import pruned_walk
 from .errors import ResourceLimitError
-from .model import ConditionSet, isolated_indices, neighbors
+from .model import ConditionSet, canonical_witness, delta, isolated_indices, neighbors
 from .padic import padic_order, relevant_primes
 from .primes import mobius_up_to, primes_up_to
 
@@ -78,8 +77,9 @@ def count(cs: ConditionSet, x: int) -> int:
         raise ValueError(f"x must be >= 1, got {x}")
     if x**cs.k > _COUNT_GUARD:
         raise ResourceLimitError(f"x**k = {x}**{cs.k} exceeds the {_COUNT_GUARD} count guard")
-    if any(c.value > x for c in cs.conditions):
-        return 0
+    n = canonical_witness(cs)
+    if max(n) > x or not delta(cs, n):
+        return 0  # every solution is a multiple of the witness
     active = sorted(set(range(1, cs.k + 1)) - isolated_indices(cs))
     if not active:
         return x**cs.k
@@ -110,15 +110,43 @@ def _prefers_walk(cs: ConditionSet, active: list[int], x: int) -> bool:
 
 
 def _scan(cs: ConditionSet, active: list[int], x: int) -> int:
-    """Solutions in [1, x]^m over the active coordinates, by `pruned_walk`."""
-    total = 0
+    """Solutions in [1, x]^m over the active coordinates (every index of
+    every condition), by a depth-first walk of the box in ascending index
+    order.  A prefix is cut once a partial gcd stops being a multiple of
+    its target (or, for a complete condition, equal to it); the last
+    coordinate is tested for all of 1..x at once."""
+    # per position: (condition, target, whether the position is its last index)
+    steps = [
+        [(ci, c.value, i == max(c.indices)) for ci, c in enumerate(cs.conditions) if i in c.indices]
+        for i in active
+    ]
+    depth = len(active) - 1
+    ns = np.arange(1, x + 1, dtype=np.int64)
+    partial = [0] * len(cs.conditions)
 
-    def visit(prefix: list[int], hits: np.ndarray) -> None:
-        nonlocal total
-        total += int(np.count_nonzero(hits))
+    def walk(pos: int) -> int:
+        if pos == depth:
+            mask = np.ones(x, dtype=bool)
+            for ci, value, complete in steps[pos]:
+                g = np.gcd(partial[ci], ns)
+                mask &= g == value if complete else g % value == 0
+            return int(np.count_nonzero(mask))
+        hits = 0
+        for n in range(1, x + 1):
+            saved = []
+            for ci, value, complete in steps[pos]:
+                g = gcd(partial[ci], n)
+                if (g != value) if complete else (g % value != 0):
+                    break
+                saved.append((ci, partial[ci]))
+                partial[ci] = g
+            else:
+                hits += walk(pos + 1)
+            for ci, old in saved:
+                partial[ci] = old
+        return hits
 
-    pruned_walk(cs, active, x, visit)
-    return total
+    return walk(0)
 
 
 def _position_masks(cs: ConditionSet, active: list[int]) -> list[int]:

@@ -14,12 +14,10 @@ from fractions import Fraction
 from math import gcd, pi
 
 from gcdcensus import (
-    brute_force_find,
     condition_set,
     constant,
     convergence_table,
     count,
-    delta,
     find_cover,
     generic_factor_polynomial,
     is_admissible,
@@ -34,7 +32,7 @@ from gcdcensus import (
 )
 from gcdcensus.primes import primes_up_to
 
-from helpers import naive_count, random_admissible, trial_mobius, valuation_probability
+from helpers import naive_count, naive_first, random_admissible, trial_mobius, valuation_probability
 
 INV_ZETA3 = 0.8319073725807075
 
@@ -108,12 +106,15 @@ def test_criterion_4_decision_vs_search():
         started = time.perf_counter()
         for fa, fb, fc in itertools.product((1, 2), repeat=3):
             cs = condition_set(3, {(1, 2): fa, (1, 3): fb, (2, 3): fc})
-            found = brute_force_find(cs, 16)
             if is_admissible(cs):
+                # the full scan's first hit is the witness, and a smaller box holds none
                 w = witness(cs)
-                assert delta(cs, w) == 1
-                assert found is not None, f"no tuple found for admissible {fa},{fb},{fc}"
+                found = naive_first(cs, max(w))
+                assert found == w, f"scan found {found}, witness {w} for {fa},{fb},{fc}"
+                if max(w) > 1:
+                    assert naive_first(cs, max(w) - 1) is None
             else:
+                found = naive_first(cs, 12)
                 assert found is None, f"tuple {found} found for inadmissible {fa},{fb},{fc}"
         elapsed = time.perf_counter() - started
         assert elapsed < 60.0, f"took {elapsed:.2f}s"

@@ -39,11 +39,11 @@ def path(k: int, target: int = 1) -> ConditionSet:
 
 
 @st.composite
-def prime_power_systems(draw):
-    """Up to 3 conditions on k <= 4 indices, some of them isolated, with
+def prime_power_systems(draw, max_k: int = 4):
+    """Up to 3 conditions on k <= max_k indices, some of them isolated, with
     targets from 1, 2, 3, 4, 6, 8, 9 and 12: the gcds of a base tuple on
     their index sets, or drawn freely (and then often unsolvable)."""
-    k = draw(st.integers(2, 4))
+    k = draw(st.integers(2, max_k))
     used = draw(st.lists(st.integers(1, k), min_size=2, max_size=k, unique=True))
     edges = [e for size in range(2, len(used) + 1) for e in combinations(sorted(used), size)]
     chosen = draw(st.lists(st.sampled_from(edges), min_size=1, max_size=3, unique=True))
@@ -203,6 +203,18 @@ class TestWalk:
     def test_count_dense_systems_match_scan(self, cs, x, expected):
         assert counting._prefers_walk(cs, active_of(cs), x)
         assert count(cs, x) == counting._scan(cs, active_of(cs), x) == expected
+
+
+class TestScan:
+    """The pruned box scan on its own, bypassing the dispatch in `count`."""
+
+    @given(prime_power_systems(max_k=5), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_naive_enumeration(self, cs, data):
+        # x = 1 and targets above x included; isolated indices add a free factor
+        x = data.draw(st.integers(1, {2: 12, 3: 12, 4: 8, 5: 5}[cs.k]))
+        active = active_of(cs)
+        assert counting._scan(cs, active, x) * x ** (cs.k - len(active)) == naive_count(cs, x)
 
 
 class TestNymann:
