@@ -27,14 +27,14 @@ from dataclasses import dataclass
 from math import gcd, inf, log, prod
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .errors import ResourceLimitError
 from .model import ConditionSet, canonical_witness, delta, isolated_indices, neighbors
 from .padic import padic_order, relevant_primes
 from .primes import mobius_up_to, primes_up_to
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .density import DensityResult
 
 _COUNT_GUARD = 10**10
@@ -105,6 +105,7 @@ def _prefers_walk(cs: ConditionSet, active: list[int], x: int) -> bool:
             return False
     if m <= 4:
         return True
+    import numpy as np
     weights = _generic_weights(_position_masks(cs, active), m)
     return 2 * int(np.count_nonzero(weights)) <= weights.size
 
@@ -115,6 +116,7 @@ def _scan(cs: ConditionSet, active: list[int], x: int) -> int:
     order.  A prefix is cut once a partial gcd stops being a multiple of
     its target (or, for a complete condition, equal to it); the last
     coordinate is tested for all of 1..x at once."""
+    import numpy as np
     # per position: (condition, target, whether the position is its last index)
     steps = [
         [(ci, c.value, i == max(c.indices)) for ci, c in enumerate(cs.conditions) if i in c.indices]
@@ -171,6 +173,7 @@ def _generic_weights(masks: list[int], m: int) -> np.ndarray:
     transform over subsets of the independence indicator, one numpy pass
     per bit.  It is 1 at the empty set and 0 at every other independent S.
     """
+    import numpy as np
     subsets = np.arange(1 << m, dtype=np.int64)
     weights = np.ones(1 << m, dtype=np.int64)
     for e in set(masks):
@@ -191,6 +194,7 @@ def _prime_table(
     which holds when min{a_i : i in T} equals the order of T's target for
     every condition T; exponents stop at `_exponent_cap`.
     """
+    import numpy as np
     cap = _exponent_cap(p, max(orders), x)
     axes = [np.arange(cap + 1).reshape([-1 if j == i else 1 for j in range(m)]) for i in range(m)]
     delta = np.ones((cap + 1,) * m, dtype=bool)
@@ -219,6 +223,7 @@ def _walk(cs: ConditionSet, active: list[int], x: int) -> int:
     node sums its children's terms over a numpy array of primes at once
     and recurses only into children where a further prime still fits.
     """
+    import numpy as np
     m = len(active)
     masks = _position_masks(cs, active)
     special = relevant_primes(cs)
@@ -287,6 +292,7 @@ def nymann_count(k: int, x: int) -> int:
         raise ValueError(f"x must be >= 1, got {x}")
     if x > _NYMANN_LIMIT:
         raise ResourceLimitError(f"x = {x} exceeds the {_NYMANN_LIMIT} limit on the Mobius sieve")
+    import numpy as np
     mertens = np.cumsum(mobius_up_to(x), dtype=np.int32)  # |M(n)| <= n
     total, d = 0, 1
     while d <= x:  # one term per distinct quotient q = x // d, about 2 sqrt(x)

@@ -20,15 +20,16 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, exp, fsum, log
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .admissibility import witness
 from .errors import CutoffTooSmallError, ResourceLimitError
 from .model import ConditionSet, check_cover, find_cover
 from .padic import LocalView, local_view, relevant_primes
 from .primes import prime_blocks, primes_up_to
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Independent-subset sums are exponential in the cover size.
 MAX_COVER = 24
@@ -116,6 +117,7 @@ def _subset_histogram(cs: ConditionSet, cover: frozenset[int]) -> dict[tuple[int
         raise ResourceLimitError(
             f"cover of size {len(cover)} exceeds the {MAX_COVER}-index limit on subset sums"
         )
+    import numpy as np
     pos = {i: b for b, i in enumerate(sorted(cover))}
     inner: list[int] = []  # conditions lying inside the cover
     reach: dict[int, list[int]] = {}  # outside index -> inside parts of its conditions
@@ -191,6 +193,7 @@ def _exact_sum(x: np.ndarray) -> float:
     windows of 10 bits the shifted m are summed as int64 halves below 2^36,
     which cannot overflow for fewer than 2^26 terms; one Fraction rounds.
     """
+    import numpy as np
     if not np.isfinite(x).all():
         return float(x.sum())  # inf and nan have no exact sum; let them through
     m, e = np.frexp(x[x != 0])
@@ -226,6 +229,7 @@ def _euler_product(
     value bit for bit: callers with the same coefficients and cutoff get
     the same value.
     """
+    import numpy as np
     exact = dict(special)
     for p in map(int, primes_up_to(min(cutoff, _TRACE_LIMIT - 1))):
         exact.setdefault(p, poly.value_at(p))

@@ -1,24 +1,26 @@
 """Prime machinery: sieves, deterministic primality, integer factorization.
 
-Everything here is exact.  The Euler product in `density` consumes
-millions of primes from a numpy segmented sieve over odd numbers, 3-13
-presieved (Bays & Hudson, BIT 1977).  `trial_divisors` walks its primes
-below 10^6 for factorization and for the inadmissibility diagnostic, which
-trial-divides the quotients' lcm before it factors anything.  A cofactor left
-over gets a deterministic Miller-Rabin test, then Brent's variant of Pollard's
-rho; a target rho cannot split within its step budget (_RHO_STEPS up to 128
-bits, then divided by bits/128, and above 1024 bits also by bits/1024) is
-refused with ResourceLimitError.
+Everything here is exact.  The Euler product in `density` consumes millions
+of primes from a numpy segmented sieve over odd numbers, 3-13 presieved
+(Bays & Hudson, BIT 1977), which imports numpy on first use.  `trial_divisors`
+walks its primes below 10^6 for factorization and for the inadmissibility
+diagnostic, which trial-divides the quotients' lcm before it factors anything.
+A cofactor left over gets a deterministic Miller-Rabin test, then Brent's
+variant of Pollard's rho; a target rho cannot split within its step budget
+(_RHO_STEPS up to 128 bits, then divided by bits/128, and above 1024 bits
+also by bits/1024) is refused with ResourceLimitError.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import gcd, isqrt
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import ResourceLimitError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Trial division handles every factor below this; rho only sees larger ones.
 _TRIAL_LIMIT = 10**6
@@ -37,14 +39,22 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Sieve segment length; it fixes the blocks of the bit-reproducible sums.
 _BLOCK_SIZE = 1 << 20
 
-_SMALL_PRIMES = np.array([2, 3, 5, 7, 11, 13], dtype=np.int64)
-_WHEEL = np.ones(15015, dtype=bool)  # j flags 2j+1 prime to 3*5*7*11*13, over one period
-for _q in _SMALL_PRIMES[1:].tolist():
-    _WHEEL[(_q - 1) // 2 :: _q] = False
+
+@cache
+def _wheel() -> tuple[np.ndarray, np.ndarray]:
+    """The primes 2-13, and the wheel: j flags 2j+1 prime to 3*5*7*11*13, over one period."""
+    import numpy as np
+    small = np.array([2, 3, 5, 7, 11, 13], dtype=np.int64)
+    wheel = np.ones(15015, dtype=bool)
+    for q in small[1:].tolist():
+        wheel[(q - 1) // 2 :: q] = False
+    small.flags.writeable = wheel.flags.writeable = False  # shared by every caller
+    return small, wheel
 
 
 def primes_up_to(n: int) -> np.ndarray:
     """All primes <= n as one int64 array."""
+    import numpy as np
     return np.concatenate([np.empty(0, dtype=np.int64), *_segments(n)])
 
 
@@ -59,26 +69,28 @@ def prime_blocks(limit: int) -> Iterator[np.ndarray]:
 
 
 def _segments(limit: int) -> Iterator[np.ndarray]:
-    # Each segment is a slice of _WHEEL with the base primes above 13 crossed
+    # Each segment is a slice of the wheel with the base primes above 13 crossed
     # off.  Base primes recurse here, so prime_blocks sees top-level calls only.
     if limit < 2:
         return
+    import numpy as np
+    small, wheel = _wheel()
     base = primes_up_to(isqrt(limit))  # recursion ends below 4
     if base.size:
         yield base
     lo = isqrt(limit) + 1
-    sieving = base[base > _SMALL_PRIMES[-1]]
+    sieving = base[base > small[-1]]
     half, sieving_list = (sieving - 1) // 2, sieving.tolist()
-    pattern = np.resize(_WHEEL, _WHEEL.size + min(_BLOCK_SIZE, limit + 1 - lo) // 2 + 1)
+    pattern = np.resize(wheel, wheel.size + min(_BLOCK_SIZE, limit + 1 - lo) // 2 + 1)
     while lo <= limit:
         hi = min(lo + _BLOCK_SIZE, limit + 1)
         a = lo // 2  # segment slot i holds the odd number 2(a + i) + 1
-        segment = pattern[a % _WHEEL.size :][: hi // 2 - a].copy()
+        segment = pattern[a % wheel.size :][: hi // 2 - a].copy()
         for p, i in zip(sieving_list, ((half - a) % sieving).tolist()):
             segment[i::p] = False
         primes = np.flatnonzero(segment).astype(np.int64) * 2 + (2 * a + 1)
         if lo < 17:  # 2 and the wheel primes are not in the pattern
-            primes = np.concatenate([_SMALL_PRIMES[(lo <= _SMALL_PRIMES) & (_SMALL_PRIMES < hi)], primes])
+            primes = np.concatenate([small[(lo <= small) & (small < hi)], primes])
         if primes.size:
             yield primes
         lo = hi
@@ -194,6 +206,7 @@ def mobius_up_to(n: int) -> np.ndarray:
     """
     if n < 0:
         raise ValueError("bound must be nonnegative")
+    import numpy as np
     mu = np.ones(n + 1, dtype=np.int8)
     mu[0] = 0
     rest = np.arange(n + 1, dtype=np.min_scalar_type(n))

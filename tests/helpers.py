@@ -6,8 +6,9 @@ the admissibility and witness oracles apply the criterion prime by prime
 with primes and valuations found by trial division, the local-factor
 oracle sums capped geometric valuation probabilities directly, the
 subset-sum oracles walk every independent subset one by one, the
-Euler-product oracle sums each sieve block with math.fsum, and the Mobius
-oracle factors by trial division.
+Euler-product oracle evaluates the polynomial with np.polyval and sums
+each sieve block with math.fsum, and the Mobius oracle factors by trial
+division.
 """
 
 from __future__ import annotations
@@ -179,7 +180,8 @@ def naive_local_factor(view: LocalView) -> Fraction:
 
 
 def naive_euler_product(poly: FactorPolynomial, cutoff: int, special=()):
-    """density._euler_product with each sieve block summed by math.fsum."""
+    """density._euler_product with the polynomial evaluated by np.polyval
+    (Horner, in the same order) and each sieve block summed by math.fsum."""
     exact = dict(special)
     for p in map(int, primes_up_to(min(cutoff, _TRACE_LIMIT - 1))):
         exact.setdefault(p, poly.value_at(p))
@@ -192,7 +194,7 @@ def naive_euler_product(poly: FactorPolynomial, cutoff: int, special=()):
             block = block[~np.isin(block, skip)]
             if block.size == 0:
                 continue
-        log_blocks.append(fsum(np.log(poly(1.0 / block))))
+        log_blocks.append(fsum(np.log(np.polyval(poly.coefficients[::-1], 1.0 / block))))
     return exp(fsum(log_blocks)), largest, exact
 
 

@@ -1,10 +1,14 @@
 """Command-line surface: exit codes, stable text lines, JSON reports."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import gcdcensus
 from gcdcensus import condition_set
 from gcdcensus.cli import document_dict, main, parse_document
 
@@ -114,6 +118,36 @@ class TestCheck:
 
     def test_missing_file(self, tmp_path):
         assert main(["check", str(tmp_path / "absent.json")]) == 2
+
+    def test_cheap_paths_load_no_numpy(self, write_doc, tmp_path):
+        # a fresh interpreter: numpy loads only once a kernel runs, yet
+        # importing the cli still loads every package module
+        broken = tmp_path / "broken.json"
+        broken.write_text('{"k": ')
+        script = """
+import sys
+from gcdcensus.cli import main
+good, broken = sys.argv[1:]
+codes = [main(["check", good]), main(["witness", good]), main(["check", broken])]
+codes.append(main(["count", good, "--limit", "2155"]))
+try:
+    main(["constant", good, "--cover", "1"])
+except SystemExit as exc:
+    codes.append(exc.code)
+assert "numpy" not in sys.modules, codes
+print(codes, sorted(m for m in sys.modules if m.startswith("gcdcensus.")))
+main(["count", good, "--limit", "1000"])
+"""
+        src = os.path.dirname(os.path.dirname(gcdcensus.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        argv = [sys.executable, "-c", script, write_doc(GOOD), str(broken)]
+        run = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert run.returncode == 0, run.stderr
+        names = "admissibility cli counting density errors model padic primes".split()
+        modules = [f"gcdcensus.{m}" for m in names]
+        assert run.stdout.splitlines()[:3] == ["admissible", "6 30 10", f"[0, 0, 2, 3, 2] {modules}"]
+        assert "count 145144" in run.stdout.splitlines()
 
     def test_unfactorable_target_is_resource_exit(self, write_doc, capsys):
         # two primes just below 2^64: Pollard's rho would need about 2^32 steps

@@ -398,6 +398,21 @@ class TestEulerProductKernels:
         for poly in dict.fromkeys(polys):  # Toth k equals r-wise (k, 2)
             self.assert_same_bits(poly, cutoff)
 
+    def test_bits_pinned(self):
+        # absolute bits: the oracle above shares the sieve with the kernel,
+        # so a change that moves bits in both would pass it, but not this
+        cs = condition_set(3, {(1, 2): 6, (2, 3): 10})
+        res = constant(cs, 10**6)
+        assert (res.value.hex(), res.lower.hex(), res.upper.hex(), res.prime_cutoff) == (
+            "0x1.2c4e7d69bf05ap-13",
+            "0x1.2c4e0753fc0dep-13",
+            "0x1.2c4ef37fb06c4p-13",
+            999983,
+        )
+        assert constant(cs, 3 * 10**6 + 1).value.hex() == "0x1.2c4e7b9291794p-13"  # three segments
+        assert toth_pairwise_constant(8, 3 * 10**6 + 1).hex() == "0x1.2d91ff62eae5fp-10"
+        assert rwise_constant(6, 3, 10**6).hex() == "0x1.911edaee3fc4dp-3"
+
     @pytest.mark.parametrize("cutoff", [2, 30, 10**4, 3 * 10**6])
     def test_pinned_cascade_with_special_factors(self, cutoff):
         cs = condition_set(5, {(1, 2, 3): 1, (3, 4): 2, (4, 5): 4})
