@@ -7,16 +7,17 @@ coordinates that lie in some condition (each other one is a free factor x),
     count(x) = sum over d in [1, x]^m of g(d) * prod_i floor(x / d_i),
 
 with g(d) = prod_p g_p(v_p(d)): the Dirichlet-series view of the paper.
-At a prime dividing no target, g_p is nonzero only on 0/1 exponent
-patterns, the dependent index sets S, with g(S) the signed count of the
-independent subsets of S; at a target prime it is the m-fold finite
-difference of the local indicator.  `_walk` sums the series prime by
-prime in ascending order.  It loses to `_scan`, a depth-first box scan
-cut wherever a partial gcd already misses its target, on dense systems
-with many active coordinates, so `count` picks one of the two per call
-from the system alone (`_prefers_walk`).  The tests keep
-full-box enumeration as the oracle for both, and `nymann_count`, a
-Mobius sum, as an independent oracle for the fully-coprime system.
+Each g_p is the m-fold finite difference of the local indicator delta_p,
+and one kernel, `_local_patterns`, lists its nonzero exponent patterns:
+at a target prime up to an exponent cap, at every other prime with all
+orders 0 and cap 1, where the patterns are the dependent index sets S.
+`_walk` sums the series prime by prime in ascending order.  It loses to
+`_scan`, a depth-first box scan cut wherever a partial gcd already misses
+its target, on dense systems with many active coordinates, so the walk
+declines those (returns None) from the system alone, before it sums
+anything, and `count` then runs the scan.  The tests keep full-box
+enumeration as the oracle for both, and `nymann_count`, a Mobius sum, as
+an independent oracle for the fully-coprime system.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from math import gcd, inf, log, prod
 from typing import TYPE_CHECKING
 
 from .errors import ResourceLimitError
-from .model import ConditionSet, canonical_witness, delta, isolated_indices, neighbors
+from .model import ConditionSet, canonical_witness, delta, isolated_indices, neighbors, position_masks
 from .padic import padic_order, relevant_primes
 from .primes import mobius_up_to, primes_up_to
 
@@ -40,8 +41,10 @@ if TYPE_CHECKING:
 _COUNT_GUARD = 10**10
 _NYMANN_LIMIT = 10**7  # the Mobius sieve and block sum to 10^7 take about 0.4 s and 90 MB
 
-# The walk's side of `_prefers_walk`; the table cap also bounds the memory of
-# a target prime's exponent table (2^20 int64 entries, 8 MB).
+# The walk declines a system with more active coordinates than the first, or
+# with a target prime whose pattern grid would exceed the second; that limit
+# also bounds the grid's memory (at 2^20 entries, 8 MB of int64 weights and
+# one byte per coordinate for the exponents).
 _WALK_MAX_ACTIVE = 16
 _TABLE_LIMIT = 1 << 20
 
@@ -69,8 +72,8 @@ def count(cs: ConditionSet, x: int) -> int:
     """Exact number of tuples in [1, x]^k satisfying every condition.
 
     Guarded by x**k <= 10**10.  Coordinates in no condition contribute a
-    free factor of x each; the rest are counted by the prime-pattern walk
-    or by the pruned box scan, whichever `_prefers_walk` picks.
+    free factor of x each; the rest are counted by the prime-pattern walk,
+    or by the pruned box scan where the walk declines the system.
     """
     x = operator.index(x)
     if x < 1:
@@ -83,31 +86,10 @@ def count(cs: ConditionSet, x: int) -> int:
     active = sorted(set(range(1, cs.k + 1)) - isolated_indices(cs))
     if not active:
         return x**cs.k
-    kernel = _walk if _prefers_walk(cs, active, x) else _scan
-    return kernel(cs, active, x) * x ** (cs.k - len(active))
-
-
-def _prefers_walk(cs: ConditionSet, active: list[int], x: int) -> bool:
-    """The walk for m <= 4 active coordinates, or for m <= 16 when at most
-    half of the 2^m index sets S have g(S) != 0; the scan otherwise, and
-    whenever a target prime's exponent table would exceed _TABLE_LIMIT.
-
-    The walk's node count grows with the number of nonzero patterns, the
-    scan's cost with x^(m-1); complete pairwise systems with m >= 5 sit
-    on the scan's side (timings in CHANGES.md).
-    """
-    m = len(active)
-    if m > _WALK_MAX_ACTIVE:
-        return False
-    for p in relevant_primes(cs):
-        top = max(padic_order(c.value, p) for c in cs.conditions)
-        if (_exponent_cap(p, top, x) + 1) ** m > _TABLE_LIMIT:
-            return False
-    if m <= 4:
-        return True
-    import numpy as np
-    weights = _generic_weights(_position_masks(cs, active), m)
-    return 2 * int(np.count_nonzero(weights)) <= weights.size
+    hits = _walk(cs, active, x)
+    if hits is None:
+        hits = _scan(cs, active, x)
+    return hits * x ** (cs.k - len(active))
 
 
 def _scan(cs: ConditionSet, active: list[int], x: int) -> int:
@@ -151,12 +133,6 @@ def _scan(cs: ConditionSet, active: list[int], x: int) -> int:
     return walk(0)
 
 
-def _position_masks(cs: ConditionSet, active: list[int]) -> list[int]:
-    """Each condition's index set as a bitmask over positions in `active`."""
-    pos = {i: b for b, i in enumerate(active)}
-    return [sum(1 << pos[i] for i in c.indices) for c in cs.conditions]
-
-
 def _exponent_cap(p: int, top: int, x: int) -> int:
     """min(top + 1, floor(log_p x)): past top + 1 every g_p vanishes, and
     past log_p x no d_i <= x has room."""
@@ -166,56 +142,48 @@ def _exponent_cap(p: int, top: int, x: int) -> int:
     return cap
 
 
-def _generic_weights(masks: list[int], m: int) -> np.ndarray:
-    """g(S) for every S subset of range(m), as an array indexed by mask.
-
-    g(S) = sum over independent U subset of S of (-1)^|S - U|: the Mobius
-    transform over subsets of the independence indicator, one numpy pass
-    per bit.  It is 1 at the empty set and 0 at every other independent S.
-    """
-    import numpy as np
-    subsets = np.arange(1 << m, dtype=np.int64)
-    weights = np.ones(1 << m, dtype=np.int64)
-    for e in set(masks):
-        weights[(subsets & e) == e] = 0
-    for b in range(m):
-        halves = weights.reshape(-1, 2, 1 << b)
-        halves[:, 1, :] -= halves[:, 0, :]
-    return weights
-
-
-def _prime_table(
-    m: int, masks: list[int], orders: list[int], p: int, x: int
-) -> list[tuple[tuple[int, ...], int]]:
-    """(p^a_1, ..., p^a_m) with g_p(a) for each exponent pattern a with
-    g_p(a) != 0, at a target prime p whose order in target j is orders[j].
+def _local_patterns(
+    masks: list[int], orders: list[int], cap: int, m: int
+) -> tuple[np.ndarray, list[int]]:
+    """The exponent patterns a in {0..cap}^m with g_p(a) != 0, as the rows
+    of an integer array with a_i in column i, and their weights g_p(a).
 
     g_p is the m-fold finite difference of the local indicator delta_p(a),
-    which holds when min{a_i : i in T} equals the order of T's target for
-    every condition T; exponents stop at `_exponent_cap`.
+    which holds when min{a_i : i in T} equals orders[j] for every condition
+    T = masks[j].  Rows ascend in sum a_i (cap + 1)^i, so with all orders 0
+    and cap 1 (a prime dividing no target) row a is the index set S with
+    bitmask a, in ascending order, and g(S) is the signed count of the
+    independent subsets of S: 1 at the empty set, 0 at any other independent S.
     """
     import numpy as np
-    cap = _exponent_cap(p, max(orders), x)
-    axes = [np.arange(cap + 1).reshape([-1 if j == i else 1 for j in range(m)]) for i in range(m)]
-    delta = np.ones((cap + 1,) * m, dtype=bool)
+    side = cap + 1
+    # row i holds a_i of every entry, whose a sits at sum a_i side^i
+    digits = np.indices((side,) * m, dtype=np.int8).reshape(m, -1)[::-1]
+    delta = np.ones(side**m, dtype=bool)
     for mask, e in zip(masks, orders):
         low = None
         for i in range(m):
             if mask >> i & 1:
-                low = axes[i] if low is None else np.minimum(low, axes[i])
+                low = digits[i] if low is None else np.minimum(low, digits[i])
         delta &= low == e
     g = delta.astype(np.int64)
     for i in range(m):
-        g = np.diff(g, axis=i, prepend=0)
-    where = np.nonzero(g)
-    powers = p ** np.arange(cap + 1, dtype=np.int64)
-    divisors = np.stack([powers[a] for a in where], axis=1).tolist()
-    return list(zip(map(tuple, divisors), g[where].tolist()))
+        steps = g.reshape(-1, side, side**i)
+        steps[:, 1:] -= steps[:, :-1]  # numpy buffers the overlap
+    where = np.flatnonzero(g)
+    return np.stack([a[where] for a in digits], axis=1), g[where].tolist()
 
 
-def _walk(cs: ConditionSet, active: list[int], x: int) -> int:
+def _walk(cs: ConditionSet, active: list[int], x: int) -> int | None:
     """Solutions in [1, x]^m over the active coordinates, by the series
-    sum of g(d) * prod_i floor(x / d_i) over d in [1, x]^m.
+    sum of g(d) * prod_i floor(x / d_i) over d in [1, x]^m; None, before
+    any summing, where the box scan is the better kernel.
+
+    The walk declines m > 16, any target prime whose pattern grid exceeds
+    _TABLE_LIMIT, and m > 4 when more than half of the 2^m index sets S
+    have g(S) != 0: its node count grows with the nonzero patterns, the
+    scan's cost with x^(m-1), and complete pairwise systems with m >= 5
+    sit on the scan's side (timings in CHANGES.md).
 
     The target primes' patterns come first, each merging the partial
     products into distinct quotient vectors y = floor(x / d); every other
@@ -225,11 +193,26 @@ def _walk(cs: ConditionSet, active: list[int], x: int) -> int:
     """
     import numpy as np
     m = len(active)
-    masks = _position_masks(cs, active)
+    if m > _WALK_MAX_ACTIVE:
+        return None
+    masks = position_masks(cs, active)
     special = relevant_primes(cs)
-    nodes = {(x,) * m: 1}
+    targets = []
     for p in special:
-        table = _prime_table(m, masks, [padic_order(c.value, p) for c in cs.conditions], p, x)
+        orders = [padic_order(c.value, p) for c in cs.conditions]
+        cap = _exponent_cap(p, max(orders), x)
+        if (cap + 1) ** m > _TABLE_LIMIT:
+            return None
+        targets.append((p, orders, cap))
+    sets, set_weights = _local_patterns(masks, [0] * len(masks), 1, m)
+    if m > 4 and 2 * len(set_weights) > 1 << m:
+        return None
+
+    nodes = {(x,) * m: 1}
+    for p, orders, cap in targets:
+        exponents, weights = _local_patterns(masks, orders, cap, m)
+        powers = p ** np.arange(cap + 1, dtype=np.int64)
+        table = list(zip(map(tuple, powers[exponents].tolist()), weights))
         merged: dict[tuple[int, ...], int] = {}
         for y, w in nodes.items():
             for divisors, g in table:
@@ -238,10 +221,8 @@ def _walk(cs: ConditionSet, active: list[int], x: int) -> int:
                     merged[child] = merged.get(child, 0) + w * g
         nodes = {y: w for y, w in merged.items() if w}
 
-    weights = _generic_weights(masks, m)
-    patterns = np.flatnonzero(weights)[1:]  # the empty set is the node itself
-    members = ((patterns[:, None] >> np.arange(m)) & 1).astype(bool)
-    pattern_weights = weights[patterns].tolist()
+    members = sets[1:].astype(bool)  # the empty set is the node itself
+    pattern_weights = set_weights[1:]
     # every S with g(S) != 0 contains a condition set holding no other, so a
     # further prime fits exactly when it fits all of one such set
     minimal = [e for e in set(masks) if not any(f != e and f & e == f for f in masks)]
@@ -262,7 +243,7 @@ def _walk(cs: ConditionSet, active: list[int], x: int) -> int:
         stop = bisect_right(ps_list, int(limits[live].max()), start)
         qs = ps[start:stop]
         z = np.where(members[live][:, :, None], ya[:, None] // qs, ya[:, None])
-        terms = z.prod(axis=1)  # at most x^m <= x^k <= 10^10: exact in int64
+        terms = z.prod(axis=1)  # at most x^m <= x^k <= _COUNT_GUARD < 2^63: exact in int64
         sums = terms.sum(axis=1).tolist()
         total = w * sum(pattern_weights[s] * t for s, t in zip(live.tolist(), sums))
         fits = z[:, edges, :].min(axis=2).max(axis=1)

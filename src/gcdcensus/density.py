@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from .admissibility import witness
 from .errors import CutoffTooSmallError, ResourceLimitError
-from .model import ConditionSet, check_cover, find_cover
+from .model import ConditionSet, check_cover, find_cover, position_masks
 from .padic import LocalView, local_view, relevant_primes
 from .primes import prime_blocks, primes_up_to
 
@@ -118,18 +118,16 @@ def _subset_histogram(cs: ConditionSet, cover: frozenset[int]) -> dict[tuple[int
             f"cover of size {len(cover)} exceeds the {MAX_COVER}-index limit on subset sums"
         )
     import numpy as np
-    pos = {i: b for b, i in enumerate(sorted(cover))}
     inner: list[int] = []  # conditions lying inside the cover
     reach: dict[int, list[int]] = {}  # outside index -> inside parts of its conditions
-    for c in cs.conditions:
-        part = sum(1 << pos[i] for i in c.indices if i in pos)
+    for c, part in zip(cs.conditions, position_masks(cs, cover)):
         outside = c.indices - cover
         if outside:
             (x,) = outside  # a cover leaves at most one
             reach.setdefault(x, []).append(part)
         else:
             inner.append(part)
-    n, width = len(pos), len(reach) + 1
+    n, width = len(cover), len(reach) + 1
     counts = np.zeros((n + 1) * width, dtype=np.int64)
     for lo in range(0, 1 << n, _CHUNK):
         masks = np.arange(lo, min(lo + _CHUNK, 1 << n), dtype=np.int64)

@@ -1,9 +1,11 @@
 """Exact counters against independent enumeration and Mobius oracles."""
 
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,9 @@ from gcdcensus import (
     nymann_count,
 )
 from gcdcensus import FactorPolynomial, counting, find_cover, generic_factor_polynomial, isolated_indices
+from gcdcensus import local_factor, local_view, relevant_primes
+from gcdcensus.model import position_masks
+from gcdcensus.padic import padic_order
 
 from helpers import condition_sets, naive_count, trial_mobius
 
@@ -51,6 +56,17 @@ def prime_power_systems(draw, max_k: int = 4):
     base = draw(st.lists(values, min_size=k, max_size=k))
     free = draw(st.booleans())
     return condition_set(k, {e: draw(values) if free else gcd(*(base[i - 1] for i in e)) for e in chosen})
+
+
+@st.composite
+def target_systems(draw):
+    """Admissible systems on k <= 5 indices: targets are the gcds of a base
+    tuple from 1, 2, 3, 4, 5, 6, 8, 9, 12 and 18 (a set closed under gcd)."""
+    k = draw(st.integers(2, 5))
+    edges = [e for size in range(2, k + 1) for e in combinations(range(1, k + 1), size)]
+    chosen = draw(st.lists(st.sampled_from(edges), min_size=1, max_size=4, unique=True))
+    base = draw(st.lists(st.sampled_from((1, 2, 3, 4, 5, 6, 8, 9, 12, 18)), min_size=k, max_size=k))
+    return condition_set(k, {e: gcd(*(base[i - 1] for i in e)) for e in chosen})
 
 
 class TestCount:
@@ -167,11 +183,32 @@ class TestWalk:
         # sum of g(S) over |S| = j is c_j: both are the local factor at a
         # prime dividing no target, as a polynomial in 1/p
         active = active_of(cs)
-        weights = counting._generic_weights(counting._position_masks(cs, active), len(active))
-        by_size = [0] * (len(active) + 1)
-        for mask, g in enumerate(weights.tolist()):
-            by_size[bin(mask).count("1")] += g
+        m = len(active)
+        masks = position_masks(cs, active)
+        sets, weights = counting._local_patterns(masks, [0] * len(masks), 1, m)
+        bitmasks = (sets << np.arange(m)).sum(axis=1).tolist()
+        assert bitmasks[0] == 0 and bitmasks == sorted(set(bitmasks))  # the walk relies on the order
+        by_size = [0] * (m + 1)
+        for size, g in zip(sets.sum(axis=1).tolist(), weights):
+            by_size[size] += g
         assert FactorPolynomial(tuple(by_size)) == generic_factor_polynomial(cs, find_cover(cs))
+
+    @given(target_systems())
+    @settings(max_examples=80, deadline=None)
+    def test_target_tables_sum_to_local_factor(self, cs):
+        # at x >= p^(top + 1) the table holds every nonzero g_p, and the sum
+        # of g_p(a) p^(-sum a) is the probability that geometric p-adic
+        # orders meet every condition: the exact local factor at p
+        active = active_of(cs)
+        masks = position_masks(cs, active)
+        for p in relevant_primes(cs):
+            orders = [padic_order(c.value, p) for c in cs.conditions]
+            top = max(orders)
+            cap = counting._exponent_cap(p, top, p ** (top + 1))
+            assert cap == top + 1
+            exponents, weights = counting._local_patterns(masks, orders, cap, len(active))
+            series = sum(Fraction(g, p**a) for a, g in zip(exponents.sum(axis=1).tolist(), weights))
+            assert series == local_factor(local_view(cs, p, find_cover(cs)))
 
     @pytest.mark.parametrize(
         "cs, x, walk",
@@ -188,8 +225,30 @@ class TestWalk:
     )
     def test_dispatch_sides_agree_with_scan(self, cs, x, walk):
         active = active_of(cs)
-        assert counting._prefers_walk(cs, active, x) is walk
-        assert count(cs, x) == counting._scan(cs, active, x)
+        hits = counting._walk(cs, active, x)  # None where the walk declines
+        assert (hits is not None) is walk
+        expected = counting._scan(cs, active, x)
+        assert count(cs, x) == expected
+        assert hits in (None, expected)
+
+    @pytest.mark.parametrize(
+        "cs, x, walk",
+        [
+            (condition_set(4, {(1, 2): 12, (2, 3): 18, (3, 4): 6}), 40, True),
+            (pairwise(6, 6), 8, False),  # declined on its weights, after the target primes
+        ],
+    )
+    def test_count_factors_targets_once(self, cs, x, walk, monkeypatch):
+        calls = []
+
+        def counted(system):
+            calls.append(system)
+            return relevant_primes(system)
+
+        monkeypatch.setattr(counting, "relevant_primes", counted)
+        count(cs, x)
+        assert calls == [cs]
+        assert (counting._walk(cs, active_of(cs), x) is not None) is walk
 
     # the count-dense benchmark systems without an oracle in the benchmark
     @pytest.mark.parametrize(
@@ -201,8 +260,8 @@ class TestWalk:
         ],
     )
     def test_count_dense_systems_match_scan(self, cs, x, expected):
-        assert counting._prefers_walk(cs, active_of(cs), x)
-        assert count(cs, x) == counting._scan(cs, active_of(cs), x) == expected
+        active = active_of(cs)
+        assert counting._walk(cs, active, x) == count(cs, x) == counting._scan(cs, active, x) == expected
 
 
 class TestScan:
