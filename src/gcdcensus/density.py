@@ -9,7 +9,10 @@ On the source system it is the factor at every prime dividing no target;
 on a LocalView's residual system, at t = 1/p and times the pinned
 prefactor, it is the exact factor at p.  Target primes and primes below
 50 enter the product exactly, the rest in floats, summed exactly per
-sieve block (math.fsum's value bit for bit).  Convergence is like
+sieve block (math.fsum's value bit for bit), and the block sums by
+math.fsum.  Both sums are correctly rounded from exact terms, so the
+order of the blocks cannot move a bit, and the sieve segments are
+sieved and folded on two threads where two CPUs are free.  Convergence is like
 sum 1/p^2: truncating at P >= 2C, with C the sum of |c_j| for j >= 2,
 leaves at most 2C/P in the logarithm and certifies the reported interval.
 """
@@ -17,16 +20,17 @@ leaves at most 2C/P in the logarithm and certifies the reported interval.
 from __future__ import annotations
 
 import operator
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, exp, fsum, log
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .admissibility import witness
 from .errors import CutoffTooSmallError, ResourceLimitError
 from .model import ConditionSet, check_cover, find_cover, position_masks
 from .padic import LocalView, local_view, relevant_primes
-from .primes import prime_blocks, primes_up_to
+from .primes import SievePlan, primes_up_to, sieve_segment
 
 if TYPE_CHECKING:
     import numpy as np
@@ -37,8 +41,16 @@ MAX_COVER = 24
 # Subset masks per numpy pass of the histogram; bounds its memory.
 _CHUNK = 1 << 16
 
-# The segmented sieve behind the product takes about 55 s to reach this.
+# The segmented sieve behind the product takes about 70 s to reach this
+# (2-vCPU VM), threads or not: there the crossing loop is the work.
 MAX_PRIME_CUTOFF = 10**10
+
+# Threads folding sieve segments in _euler_product, the caller's included.
+# The crossing loop in sieve_segment holds the GIL, so only the numpy part
+# of a segment overlaps.  On a 2-vCPU VM two threads took _euler_product to
+# 10^8 from 0.29 to 0.22 s (min of 9), and a third on the same two CPUs
+# gained nothing; more than two are unmeasured.
+_PRODUCT_THREADS = 2
 
 # Primes below this get exact factors, as float poly(1/p) cancels there, and are traced.
 _TRACE_LIMIT = 50
@@ -84,10 +96,13 @@ class FactorPolynomial:
         return Fraction(acc, p**self.degree)
 
     def __call__(self, t):
-        """Float value at t; accepts scalars or numpy arrays."""
-        acc = 0.0 * t + float(self.coefficients[-1])  # broadcasts over arrays
+        """Float value at t; accepts scalars or numpy arrays, and Horner
+        over an array works in place in one new buffer."""
+        acc = 0.0 * t  # broadcasts over arrays
+        acc += float(self.coefficients[-1])
         for c in reversed(self.coefficients[:-1]):
-            acc = acc * t + c
+            acc *= t
+            acc += c
         return acc
 
 
@@ -190,22 +205,90 @@ def _exact_sum(x: np.ndarray) -> float:
     Each nonzero x is m 2^(e-53) with an integer |m| < 2^53.  In exponent
     windows of 10 bits the shifted m are summed as int64 halves below 2^36,
     which cannot overflow for fewer than 2^26 terms; one Fraction rounds.
+    When all of x falls in one window, as for most sieve blocks, the terms
+    are shifted in place in the mantissa buffer, with no per-window copies.
     """
     import numpy as np
     if not np.isfinite(x).all():
         return float(x.sum())  # inf and nan have no exact sum; let them through
-    m, e = np.frexp(x[x != 0])
+    if not x.all():
+        x = x[x != 0]
+    m, e = np.frexp(x)
     if not e.size:
         return 0.0
-    m = np.ldexp(m, 53).astype(np.int64)
     e0 = int(e.min())
-    window, shift = np.divmod(e - e0, 10)
-    total = 0
-    for w in range(int(window.max()) + 1):
-        ms, s = m[window == w], shift[window == w]
-        hi, lo = int(((ms >> 26) << s).sum()), int(((ms & 0x3FFFFFF) << s).sum())
-        total += ((hi << 26) + lo) << (10 * w)
+    if int(e.max()) - e0 < 10:  # one window, as for most sieve blocks
+        e += 53 - e0  # each term m 2^(e-e0) is then an integer below 2^62
+        np.ldexp(m, e, out=m)
+        del e  # before the int64 copy, which sets the peak memory
+        m = m.astype(np.int64)
+        hi = int((m >> 26).sum())
+        m &= 0x3FFFFFF
+        total = (hi << 26) + int(m.sum())
+    else:
+        m = np.ldexp(m, 53, out=m).astype(np.int64)
+        window, shift = np.divmod(e - e0, 10)
+        total = 0
+        for w in range(int(window.max()) + 1):
+            ms, s = m[window == w], shift[window == w]
+            hi, lo = int(((ms >> 26) << s).sum()), int(((ms & 0x3FFFFFF) << s).sum())
+            total += ((hi << 26) + lo) << (10 * w)
     return float(total * Fraction(2) ** (e0 - 53))
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map_segments(
+    plan: SievePlan, fold: Callable[[np.ndarray], tuple[int, float]]
+) -> list[tuple[int, float]]:
+    """fold(sieve_segment(plan, lo)) for every lo in plan.starts, in no set order.
+
+    Segments are dealt round-robin to the calling thread and up to
+    _PRODUCT_THREADS - 1 workers.  A worker's exception is re-raised here;
+    one here (Ctrl-C included) stops the workers between segments.  Every
+    worker is joined before this returns.
+    """
+    starts = plan.starts
+    n = max(1, min(_available_cpus(), _PRODUCT_THREADS, len(starts)))
+    import contextvars
+    import threading
+
+    out: list[tuple[int, float]] = []
+    errors: list[BaseException] = []
+    stop = threading.Event()
+
+    def run(first: int) -> None:
+        try:
+            for lo in starts[first::n]:
+                if stop.is_set():
+                    return
+                out.append(fold(sieve_segment(plan, lo)))
+        except BaseException as exc:  # stops every thread between segments
+            errors.append(exc)
+            stop.set()
+
+    workers = []
+    try:
+        for j in range(1, n):
+            # a copy of this context per worker carries numpy's errstate over
+            t = threading.Thread(target=contextvars.copy_context().run, args=(run, j))
+            t.start()
+            workers.append(t)
+        run(0)
+        for t in workers:
+            t.join()
+    finally:  # reached early only by an interrupt outside run, as in a join
+        stop.set()
+        for t in workers:
+            t.join()
+    if errors:
+        raise errors[0]
+    return out
 
 
 def _checked_cutoff(prime_cutoff: int) -> int:
@@ -222,26 +305,34 @@ def _euler_product(
     at the `special` (p, factor) pairs and at the other primes below
     _TRACE_LIMIT; also the largest prime <= cutoff and those exact factors.
 
-    Logs are summed by `_exact_sum` (= `fsum`, bit for bit) per sieve
-    block, then by `fsum` over blocks, so the block boundaries fix the
-    value bit for bit: callers with the same coefficients and cutoff get
-    the same value.
+    Each sieve block's logs are summed by `_exact_sum` (= `fsum`, bit for
+    bit), then the block sums by `fsum`.  Both sums are correctly rounded
+    from exact inputs, so the blocks can be folded in any order, on
+    several threads (`_map_segments`): the block boundaries alone fix the
+    value bit for bit, and callers with the same coefficients and cutoff
+    get the same value.
     """
     import numpy as np
     exact = dict(special)
     for p in map(int, primes_up_to(min(cutoff, _TRACE_LIMIT - 1))):
         exact.setdefault(p, poly.value_at(p))
     skip = sorted(exact)
-    log_blocks = [_log_fraction(f) for f in exact.values()]
-    largest = 0
-    for block in prime_blocks(cutoff):
+
+    def fold(block: np.ndarray) -> tuple[int, float]:
+        # (largest prime, sum of log poly(1/p)) over a block, exact primes left out
+        if not block.size:
+            return 0, 0.0
         largest = int(block[-1])
         if block[0] <= skip[-1]:
             block = block[~np.isin(block, skip)]
-            if block.size == 0:
-                continue
-        log_blocks.append(_exact_sum(np.log(poly(1.0 / block))))
-    return exp(fsum(log_blocks)), largest, exact
+        logs = poly(1.0 / block)
+        del block  # free the primes before the sum
+        return largest, _exact_sum(np.log(logs, out=logs))
+
+    plan = SievePlan(cutoff)
+    blocks = [fold(plan.base), *_map_segments(plan, fold)]
+    log_blocks = [_log_fraction(f) for f in exact.values()] + [s for _, s in blocks]
+    return exp(fsum(log_blocks)), max(p for p, _ in blocks), exact
 
 
 def constant(cs: ConditionSet, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> DensityResult:

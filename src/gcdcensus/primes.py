@@ -68,32 +68,59 @@ def prime_blocks(limit: int) -> Iterator[np.ndarray]:
     return _segments(limit)
 
 
-def _segments(limit: int) -> Iterator[np.ndarray]:
-    # Each segment is a slice of the wheel with the base primes above 13 crossed
-    # off.  Base primes recurse here, so prime_blocks sees top-level calls only.
-    if limit < 2:
-        return
+class SievePlan:
+    """What every segment of a sieve to `limit` shares, built once: the base
+    primes <= isqrt(limit), the sieving primes above 13 with their slots
+    among the odd numbers, the wheel pattern, and the segment starts
+    isqrt(limit) + 1 + j*_BLOCK_SIZE."""
+
+    __slots__ = ("limit", "base", "starts", "sieving", "half", "sieving_list", "pattern")
+
+    def __init__(self, limit: int):
+        import numpy as np
+        small, wheel = _wheel()
+        root = isqrt(max(limit, 0))
+        self.limit = limit
+        self.base = primes_up_to(root) if root >= 2 else small[:0]  # recursion ends below 4
+        self.starts = range(root + 1, limit + 1, _BLOCK_SIZE)
+        self.sieving = self.base[self.base > small[-1]]
+        self.half = (self.sieving - 1) // 2
+        self.sieving_list = self.sieving.tolist()
+        # the wheel, long enough for a segment at any phase
+        self.pattern = np.resize(wheel, wheel.size + min(_BLOCK_SIZE, limit - root) // 2 + 1)
+
+
+def sieve_segment(plan: SievePlan, lo: int) -> np.ndarray:
+    """The primes in [lo, lo + _BLOCK_SIZE) up to plan.limit, for lo in plan.starts.
+
+    Possibly empty.  It only reads the plan, so segments can be sieved in any
+    order, on any thread: a slice of the wheel with the base primes above 13
+    crossed off.
+    """
     import numpy as np
     small, wheel = _wheel()
-    base = primes_up_to(isqrt(limit))  # recursion ends below 4
-    if base.size:
-        yield base
-    lo = isqrt(limit) + 1
-    sieving = base[base > small[-1]]
-    half, sieving_list = (sieving - 1) // 2, sieving.tolist()
-    pattern = np.resize(wheel, wheel.size + min(_BLOCK_SIZE, limit + 1 - lo) // 2 + 1)
-    while lo <= limit:
-        hi = min(lo + _BLOCK_SIZE, limit + 1)
-        a = lo // 2  # segment slot i holds the odd number 2(a + i) + 1
-        segment = pattern[a % wheel.size :][: hi // 2 - a].copy()
-        for p, i in zip(sieving_list, ((half - a) % sieving).tolist()):
-            segment[i::p] = False
-        primes = np.flatnonzero(segment).astype(np.int64) * 2 + (2 * a + 1)
-        if lo < 17:  # 2 and the wheel primes are not in the pattern
-            primes = np.concatenate([small[(lo <= small) & (small < hi)], primes])
+    hi = min(lo + _BLOCK_SIZE, plan.limit + 1)
+    a = lo // 2  # segment slot i holds the odd number 2(a + i) + 1
+    segment = plan.pattern[a % wheel.size :][: hi // 2 - a].copy()
+    for p, i in zip(plan.sieving_list, ((plan.half - a) % plan.sieving).tolist()):
+        segment[i::p] = False
+    primes = np.flatnonzero(segment).astype(np.int64, copy=False)
+    primes *= 2
+    primes += 2 * a + 1
+    if lo < 17:  # 2 and the wheel primes are not in the pattern
+        primes = np.concatenate([small[(lo <= small) & (small < hi)], primes])
+    return primes
+
+
+def _segments(limit: int) -> Iterator[np.ndarray]:
+    # Base primes recurse through primes_up_to, so prime_blocks sees top-level calls only.
+    plan = SievePlan(limit)
+    if plan.base.size:
+        yield plan.base
+    for lo in plan.starts:
+        primes = sieve_segment(plan, lo)
         if primes.size:
             yield primes
-        lo = hi
 
 
 def is_prime(n: int) -> bool:

@@ -2,6 +2,9 @@
 
 import itertools
 import random
+import threading
+import time
+import warnings
 from fractions import Fraction
 from math import comb, exp, fsum, log, log1p, pi
 
@@ -26,7 +29,7 @@ from gcdcensus import (
     rwise_constant,
     toth_pairwise_constant,
 )
-from gcdcensus import density
+from gcdcensus import density, primes
 from gcdcensus.density import MAX_PRIME_CUTOFF, FactorPolynomial
 from gcdcensus.primes import primes_up_to
 
@@ -227,11 +230,11 @@ class TestConstant:
             constant(cs, prime_cutoff=10**4)
 
     def test_prime_cutoff_above_limit_rejected_before_sieving(self, monkeypatch):
-        def no_sieve(limit):
-            raise AssertionError(f"sieved to {limit}")
+        def no_sieve(*args):
+            raise AssertionError(f"sieved {args}")
 
-        monkeypatch.setattr(density, "prime_blocks", no_sieve)
-        monkeypatch.setattr(density, "primes_up_to", no_sieve)
+        for name in ("SievePlan", "sieve_segment", "primes_up_to"):
+            monkeypatch.setattr(density, name, no_sieve)
         with pytest.raises(ResourceLimitError, match=str(MAX_PRIME_CUTOFF)):
             constant(condition_set(2, {(1, 2): 1}), prime_cutoff=MAX_PRIME_CUTOFF + 1)
 
@@ -312,11 +315,11 @@ class TestClosedFormOracles:
         assert rwise_constant(k, 3, 10**4) == pytest.approx(rwise, rel=1e-12, abs=0)
 
     def test_cutoff_above_limit_rejected_before_sieving(self, monkeypatch):
-        def no_sieve(limit):
-            raise AssertionError(f"sieved to {limit}")
+        def no_sieve(*args):
+            raise AssertionError(f"sieved {args}")
 
-        monkeypatch.setattr(density, "prime_blocks", no_sieve)
-        monkeypatch.setattr(density, "primes_up_to", no_sieve)
+        for name in ("SievePlan", "sieve_segment", "primes_up_to"):
+            monkeypatch.setattr(density, name, no_sieve)
         with pytest.raises(ResourceLimitError, match=str(MAX_PRIME_CUTOFF)):
             toth_pairwise_constant(3, MAX_PRIME_CUTOFF + 1)
         with pytest.raises(ResourceLimitError, match=str(MAX_PRIME_CUTOFF)):
@@ -419,3 +422,126 @@ class TestEulerProductKernels:
         w = find_cover(cs)
         special = [(p, local_factor(local_view(cs, p, w))) for p in relevant_primes(cs)]
         self.assert_same_bits(generic_factor_polynomial(cs, w), cutoff, special)
+
+
+class TestThreadedProduct:
+    """_euler_product folds sieve segments on several threads; the bits must
+    not depend on how many, and no thread may outlive the call."""
+
+    @staticmethod
+    def use_threads(monkeypatch, n):
+        monkeypatch.setattr(density, "_PRODUCT_THREADS", n)
+        monkeypatch.setattr(density, "_available_cpus", lambda: n)
+
+    def assert_naive_bits_on_1_2_3_threads(self, monkeypatch, poly, cutoff, special):
+        naive_value, naive_largest, naive_exact = naive_euler_product(poly, cutoff, special)
+        for n in (1, 2, 3):
+            self.use_threads(monkeypatch, n)
+            value, largest, exact = density._euler_product(poly, cutoff, special)
+            assert (value.hex(), largest, exact) == (naive_value.hex(), naive_largest, naive_exact)
+
+    @pytest.mark.parametrize("cutoff", [3 * 10**6 + 1, 2**23, 10**7])  # 3, 8 and 10 segments
+    def test_same_bits_for_any_thread_count(self, monkeypatch, cutoff):
+        cs = condition_set(3, {(1, 2): 6, (2, 3): 10})
+        w = find_cover(cs)
+        special = [(p, local_factor(local_view(cs, p, w))) for p in relevant_primes(cs)]
+        self.assert_naive_bits_on_1_2_3_threads(monkeypatch, generic_factor_polynomial(cs, w), cutoff, special)
+
+    def test_wholly_skipped_segments(self, monkeypatch):
+        # 16-wide segments, two of them made of special primes only
+        monkeypatch.setattr(primes, "_BLOCK_SIZE", 16)
+        poly = FactorPolynomial((1, 0, -3, 2))  # Toth k=3
+        plan = primes.SievePlan(3000)
+        whole = [int(p) for lo in plan.starts[3:5] for p in primes.sieve_segment(plan, lo)]
+        special = [(p, Fraction(p - 1, p)) for p in whole]
+        assert len(plan.starts) > 100 and len(special) > 2
+        self.assert_naive_bits_on_1_2_3_threads(monkeypatch, poly, 3000, special)
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        self.use_threads(monkeypatch, 2)
+        exact_sum = density._exact_sum
+
+        def failing_in_workers(x):
+            if threading.current_thread() is not threading.main_thread():
+                raise ZeroDivisionError("worker fold")
+            return exact_sum(x)
+
+        monkeypatch.setattr(density, "_exact_sum", failing_in_workers)
+        baseline = threading.active_count()
+        with pytest.raises(ZeroDivisionError, match="worker fold"):
+            toth_pairwise_constant(3, 10**7)
+        assert threading.active_count() == baseline
+
+    def test_warning_turned_error_in_a_worker_reaches_the_caller(self, monkeypatch):
+        # roots at t = 1/(2*10^6) and 1/(1.1*10^6), and c1 = 0: the polynomial is
+        # negative only in the second of the three segments to 3*10^6, which is
+        # the worker's, so only the worker takes the log of a negative value
+        poly = FactorPolynomial((1, 0, -7_410_000_000_000, 6_820_000_000_000_000_000))
+        self.use_threads(monkeypatch, 2)
+        baseline = threading.active_count()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="invalid value"):
+                density._euler_product(poly, 3 * 10**6)
+        assert threading.active_count() == baseline
+
+    def test_workers_keep_the_callers_errstate(self, monkeypatch):
+        # the serial loop honours the caller's np.errstate, so the workers must too
+        poly = FactorPolynomial((1, 0, -7_410_000_000_000, 6_820_000_000_000_000_000))
+        self.use_threads(monkeypatch, 2)
+        with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+            warnings.simplefilter("error", RuntimeWarning)
+            value, _, _ = density._euler_product(poly, 3 * 10**6)
+        assert np.isnan(value)
+
+    def test_caller_exception_stops_and_joins_the_workers(self, monkeypatch):
+        self.use_threads(monkeypatch, 2)
+        plan = primes.SievePlan(10**7)
+        worker_began = threading.Event()
+        worker_folds = []
+
+        def fold(block):
+            if threading.current_thread() is threading.main_thread():
+                worker_began.wait(10)
+                raise KeyboardInterrupt
+            worker_folds.append(block.size)
+            worker_began.set()
+            time.sleep(0.05)  # the caller raises meanwhile
+            return block.size
+
+        baseline = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            density._map_segments(plan, fold)
+        assert threading.active_count() == baseline
+        assert 1 <= len(worker_folds) < len(plan.starts) // 2
+
+    def test_interrupt_while_joining_stops_and_joins_the_workers(self, monkeypatch):
+        # the caller has folded its own segments and waits for the worker
+        self.use_threads(monkeypatch, 2)
+        plan = primes.SievePlan(10**7)
+        worker_began = threading.Event()
+        worker_folds = []
+
+        class InterruptedJoin(threading.Thread):
+            interrupted = False
+
+            def join(self, timeout=None):
+                if not InterruptedJoin.interrupted:
+                    InterruptedJoin.interrupted = True
+                    worker_began.wait(10)
+                    raise KeyboardInterrupt
+                super().join(timeout)
+
+        def fold(block):
+            if threading.current_thread() is not threading.main_thread():
+                worker_folds.append(block.size)
+                worker_began.set()
+                time.sleep(0.05)  # the caller's join is interrupted meanwhile
+            return block.size
+
+        monkeypatch.setattr(threading, "Thread", InterruptedJoin)
+        baseline = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            density._map_segments(plan, fold)
+        assert threading.active_count() == baseline
+        assert 1 <= len(worker_folds) < len(plan.starts) // 2

@@ -122,6 +122,19 @@ def test_blocks_concatenate_to_the_primes(monkeypatch):
             assert len(blocks) > 2
 
 
+@pytest.mark.parametrize("block", [16, None])
+def test_plan_segments_concatenate_to_the_primes(monkeypatch, block):
+    # sieve_segment reads only the plan, so segments sieved in reverse order agree
+    if block:
+        monkeypatch.setattr(primes, "_BLOCK_SIZE", block)
+    for limit in range(401) if block else (3 * 10**6 + 1, 2**23):
+        plan = primes.SievePlan(limit)
+        assert plan.starts == range(isqrt(limit) + 1, limit + 1, primes._BLOCK_SIZE)
+        segments = [primes.sieve_segment(plan, lo) for lo in reversed(plan.starts)][::-1]
+        assert all(s.dtype == np.int64 for s in segments)
+        assert np.concatenate([plan.base, *segments]).tolist() == primes_up_to(limit).tolist()
+
+
 def test_prime_count_to_ten_million():
     assert primes_up_to(10**7).size == 664_579
 
