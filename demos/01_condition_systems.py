@@ -26,7 +26,8 @@ print("\ndelta(6, 30, 10) =", delta(cs, (6, 30, 10)))
 print("delta(6, 30, 11) =", delta(cs, (6, 30, 11)))
 
 # A cover is a set of indices leaving at most one index of every
-# condition outside; covers control the sums in the density constant.
+# condition outside; covers describe the paper's per-prime view, which
+# `gcdcensus factors` prints.
 print("\nis_cover({2}):", is_cover(cs, {2}))
 print("is_cover({1}):", is_cover(cs, {1}))
 print("find_cover:", sorted(find_cover(cs)))

@@ -51,6 +51,6 @@ print("  value %.9f  (= 1/(4 zeta(2)) = %.9f)" % (res.value, 6 / pi**2 / 4))
 print("  traced factors:", [(p, str(f)) for p, f in res.factor_trace[:5]], "...")
 
 # Every prime beyond the targets shares one polynomial in t = 1/p.
-poly = generic_factor_polynomial(even, find_cover(even))
+poly = generic_factor_polynomial(even)
 print("\ngeneric factor polynomial coefficients:", poly.coefficients)
 print("tail constant C =", poly.tail_constant, " (tail bound 2C/P =", 2 * poly.tail_constant / P, ")")

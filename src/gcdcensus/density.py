@@ -3,18 +3,17 @@
 The fraction of k-tuples in [1, x]^k satisfying an admissible condition
 system tends to a product over the primes of exact local factors: the
 probability that independent geometric p-adic orders meet every
-condition at p.  One fold over the independent subsets of a cover gives
-a polynomial in t = 1/p with integer coefficients, c_0 = 1 and c_1 = 0.
-On the source system it is the factor at every prime dividing no target;
-on a LocalView's residual system, at t = 1/p and times the pinned
-prefactor, it is the exact factor at p.  Target primes and primes below
-50 enter the product exactly, the rest in floats, summed exactly per
-sieve block (math.fsum's value bit for bit), and the block sums by
-math.fsum.  Both sums are correctly rounded from exact terms, so the
-order of the blocks cannot move a bit, and the sieve segments are
-sieved and folded on two threads where two CPUs are free.  Convergence is like
-sum 1/p^2: truncating at P >= 2C, with C the sum of |c_j| for j >= 2,
-leaves at most 2C/P in the logarithm and certifies the reported interval.
+condition at p.  One elimination kernel sums each factor over the index
+sets holding no whole core (padic.core_masks); at the primes dividing no
+target that gives a polynomial in t = 1/p with integer coefficients,
+c_0 = 1 and c_1 = 0.  Target primes and primes below 50 enter the
+product exactly, the rest in floats, summed exactly per sieve block
+(math.fsum's value bit for bit), and the block sums by math.fsum.  Both
+sums are correctly rounded from exact terms, so the order of the blocks
+cannot move a bit, and the sieve segments are sieved and folded on two
+threads where two CPUs are free.  Convergence is like sum 1/p^2:
+truncating at P >= 2C, with C the sum of |c_j| for j >= 2, leaves at
+most 2C/P in the logarithm and certifies the reported interval.
 """
 
 from __future__ import annotations
@@ -28,18 +27,18 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 from .admissibility import witness
 from .errors import CutoffTooSmallError, ResourceLimitError
-from .model import ConditionSet, check_cover, find_cover, position_masks
-from .padic import LocalView, local_view, relevant_primes
+from .model import MAX_K, ConditionSet, _bits
+from .padic import LocalView, core_masks, relevant_primes, valuations
 from .primes import SievePlan, primes_up_to, sieve_segment
 
 if TYPE_CHECKING:
     import numpy as np
 
-# Independent-subset sums are exponential in the cover size.
-MAX_COVER = 24
+# Live states the subset sums may hold after any index: refusals took
+# 0.1-0.3 s and at most 60 MB on a 2-vCPU VM.
+MAX_STATES = 1 << 16
 
-# Subset masks per numpy pass of the histogram; bounds its memory.
-_CHUNK = 1 << 16
+_FIELD = 64  # bits per packed count; a count of j-subsets of 64 indices is below 2^61
 
 # The segmented sieve behind the product takes about 70 s to reach this
 # (2-vCPU VM), threads or not: there the crossing loop is the work.
@@ -109,88 +108,89 @@ class FactorPolynomial:
 @dataclass(frozen=True)
 class DensityResult:
     """Truncated Euler product, its certified enclosure, the exact factors
-    it used as ascending (p, factor) pairs, and the cover and C used."""
+    it used as ascending (p, factor) pairs, and the tail constant C."""
 
     value: float
     lower: float
     upper: float
     prime_cutoff: int
     factor_trace: tuple[tuple[int, Fraction], ...]
-    cover: frozenset[int]
     tail_constant: int
 
 
-def _subset_histogram(cs: ConditionSet, cover: frozenset[int]) -> dict[tuple[int, int], int]:
-    """Count the independent subsets V of `cover` by (|V|, |M(V)|).
+def _free_subsets(cores: Iterable[int]) -> tuple[int, list[int]]:
+    """(m, h): h[j] counts the j-subsets V of the m indices in the nonempty
+    core bitmasks that hold no whole core.
 
-    M(V) holds the indices outside the cover that some condition leaves V
-    by exactly.  A cover leaves each condition at most one outside index,
-    so independence and M(V) are per-condition tests on the cover's own
-    bit positions, run over all 2^|cover| masks in numpy chunks.
+    Sparse variable elimination: the indices are decided one at a time, in
+    V or out.  A state, the bitmask of the started cores whose decided
+    indices all lie in V, maps to its counts by |V| in _FIELD-bit fields of
+    one int; a core closing inside V drops its state.  The frontier's part
+    of V fixes the state, so the next index leaves the fewest decided ones
+    sharing a core with an undecided one; ties go to the most decided
+    neighbours, then the lowest index.
     """
-    if len(cover) > MAX_COVER:
-        raise ResourceLimitError(
-            f"cover of size {len(cover)} exceeds the {MAX_COVER}-index limit on subset sums"
-        )
-    import numpy as np
-    inner: list[int] = []  # conditions lying inside the cover
-    reach: dict[int, list[int]] = {}  # outside index -> inside parts of its conditions
-    for c, part in zip(cs.conditions, position_masks(cs, cover)):
-        outside = c.indices - cover
-        if outside:
-            (x,) = outside  # a cover leaves at most one
-            reach.setdefault(x, []).append(part)
-        else:
-            inner.append(part)
-    n, width = len(cover), len(reach) + 1
-    counts = np.zeros((n + 1) * width, dtype=np.int64)
-    for lo in range(0, 1 << n, _CHUNK):
-        masks = np.arange(lo, min(lo + _CHUNK, 1 << n), dtype=np.int64)
-        free = np.ones(masks.size, dtype=bool)
-        for part in inner:
-            free &= (masks & part) != part
-        masks = masks[free]
-        sizes = sum(((masks >> b) & 1 for b in range(n)), np.zeros_like(masks))
-        key = sizes * width
-        for parts in reach.values():
-            hit = np.zeros(masks.size, dtype=bool)
-            for part in parts:
-                hit |= (masks & part) == part
-            key += hit
-        counts += np.bincount(key, minlength=counts.size)
-    return {divmod(i, width): int(c) for i, c in enumerate(counts) if c}
+    cores = sorted(set(cores))
+    union = 0
+    member = [0] * MAX_K  # per index, the cores holding it, as bits
+    near = [0] * MAX_K  # per index, the other indices of those cores
+    for n, c in enumerate(cores):
+        union |= c
+        for i in _bits(c):
+            member[i] |= 1 << n
+            near[i] |= c ^ 1 << i
+    states = {0: 1}
+    left, frontier = union, 0
+    while left:
+        done = union & ~left
+
+        def rank(i: int) -> tuple[int, int, int]:
+            rest = left ^ 1 << i
+            stay = sum(1 for j in _bits(frontier | 1 << i) if near[j] & rest)
+            return stay, -(near[i] & done).bit_count(), i
+
+        x = min(_bits(left), key=rank)
+        left ^= 1 << x
+        frontier = sum(1 << i for i in _bits(frontier | 1 << x) if near[i] & left)
+        opening = sum(1 << n for n in _bits(member[x]) if not cores[n] & done)
+        closing = sum(1 << n for n in _bits(member[x]) if not cores[n] & left)
+        out: dict[int, int] = {}
+        for s, h in states.items():
+            freed = s & ~member[x]  # x out of V
+            out[freed] = out.get(freed, 0) + h
+            s |= opening  # x in V
+            if not s & closing:
+                out[s] = out.get(s, 0) + (h << _FIELD)
+        states = out
+        if len(states) > MAX_STATES:
+            raise ResourceLimitError(f"{len(states)} live states exceed the {MAX_STATES}-state cap")
+    (packed,) = states.values()  # every core is closed, so one state is left
+    m = union.bit_count()
+    return m, [packed >> (_FIELD * j) & (1 << _FIELD) - 1 for j in range(m + 1)]
 
 
-def _fold(cs: ConditionSet, w: frozenset[int]) -> FactorPolynomial:
-    """Sum of t^|V| (1-t)^(|w| - |V| + |M(V)|) over independent subsets V of w."""
-    coeffs = [0] * (cs.k + 1)
-    for (size, outside), count in _subset_histogram(cs, w).items():
-        e = len(w) - size + outside
-        for j in range(e + 1):
-            coeffs[size + j] += count * comb(e, j) * (-1) ** j
-    return FactorPolynomial(tuple(coeffs))
+def _local_factor(p: int, total_v: int, cores: Iterable[int]) -> Fraction:
+    """p^-total_v times the sum of t^|V| (1-t)^(m-|V|) over _free_subsets' V, at t = 1/p."""
+    m, h = _free_subsets(cores)
+    return Fraction(sum(n * (p - 1) ** (m - j) for j, n in enumerate(h)), p ** (m + total_v))
 
 
 def local_factor(view: LocalView) -> Fraction:
-    """Exact local factor of the density constant at view.p.
-
-    The residual system's factor polynomial over w_p at t = 1/p, times the
-    pinned prefactor (1-1/p)^{|z_set|} p^{-sum v}: exactly the probability
-    that independent geometric p-adic orders (order a with probability
-    (1-1/p) p^-a) satisfy every condition at p.
-    """
-    p = view.p
-    residual = _fold(view.reduced, view.w_p).value_at(p)
-    return residual * Fraction(p - 1, p) ** len(view.z_set) / Fraction(p) ** sum(view.v.values())
+    """Exact local factor of the density constant at view.p: the chance that
+    geometric p-adic orders, each v_i plus an excess that is 0 with
+    probability 1 - 1/p, leave an excess of 0 in every condition's core."""
+    return _local_factor(view.p, *core_masks(view.g, view.v))
 
 
-def generic_factor_polynomial(cs: ConditionSet, cover: Iterable[int]) -> FactorPolynomial:
-    """Expand the shared local factor sum into a polynomial in t = 1/p.
-
-    Valid verbatim at every prime not dividing any target, where pinning
-    and reduction are trivial.  The cover must avoid isolated indices.
-    """
-    return _fold(cs, check_cover(cs, cover))
+def generic_factor_polynomial(cs: ConditionSet) -> FactorPolynomial:
+    """The local factor at every prime dividing no target, where the cores
+    are the condition sets, expanded into a polynomial in t = 1/p."""
+    m, h = _free_subsets(cs.edge_masks)
+    coeffs = [0] * (m + 1)
+    for j, n in enumerate(h):
+        for i in range(m - j + 1):
+            coeffs[j + i] += n * comb(m - j, i) * (-1) ** i
+    return FactorPolynomial(tuple(coeffs))
 
 
 def _log_fraction(f: Fraction) -> float:
@@ -349,8 +349,7 @@ def constant(cs: ConditionSet, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> Dens
     """
     cutoff = _checked_cutoff(prime_cutoff)
     witness(cs)  # raises InadmissibleError
-    w = find_cover(cs)
-    poly = generic_factor_polynomial(cs, w)
+    poly = generic_factor_polynomial(cs)
     tail_c = poly.tail_constant
     special = relevant_primes(cs)
     if special and cutoff < special[-1]:
@@ -364,7 +363,7 @@ def constant(cs: ConditionSet, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> Dens
 
     special_factors: list[tuple[int, Fraction]] = []
     for p in special:
-        f = local_factor(local_view(cs, p, w))
+        f = _local_factor(p, *core_masks(*valuations(cs, p)))
         if f <= 0:
             raise AssertionError(f"internal invariant violated: nonpositive factor at p={p}")
         special_factors.append((p, f))
@@ -377,7 +376,6 @@ def constant(cs: ConditionSet, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> Dens
         upper=value * exp(slack),
         prime_cutoff=largest,
         factor_trace=tuple(sorted(exact.items())),
-        cover=w,
         tail_constant=tail_c,
     )
 

@@ -29,15 +29,16 @@ def _mask_of(indices: Iterable[int]) -> int:
     return m
 
 
-def _set_of(mask: int) -> frozenset[int]:
-    out = []
-    i = 1
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask, ascending; index i sits at i - 1."""
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return frozenset(out)
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _set_of(mask: int) -> frozenset[int]:
+    return frozenset(i + 1 for i in _bits(mask))
 
 
 @dataclass(frozen=True)
@@ -136,17 +137,6 @@ def is_cover(cs: ConditionSet, cover: Iterable[int]) -> bool:
     return all((e & ~w).bit_count() <= 1 for e in cs.edge_masks)
 
 
-def check_cover(cs: ConditionSet, cover: Iterable[int]) -> frozenset[int]:
-    """`cover` as a frozenset, once it covers `cs` and avoids its isolated indices."""
-    w = frozenset(cover)
-    if not is_cover(cs, w):
-        raise ValueError(f"{sorted(w)} is not a cover of the condition system")
-    iso = w & isolated_indices(cs)
-    if iso:
-        raise ValueError(f"cover must exclude isolated indices, found {sorted(iso)}")
-    return w
-
-
 def neighbors(cs: ConditionSet, subset: Iterable[int]) -> frozenset[int]:
     """Indices x such that some condition sticks out of `subset` by exactly {x}."""
     w = _subset_mask(cs, subset)
@@ -182,11 +172,11 @@ def enumerate_independent_subsets(
     """All independent subsets of `subset`, each exactly once.
 
     Order is ascending by bitmask, so the stream is deterministic.  Public
-    API and test oracle; the density sums count these subsets with a
-    vectorized histogram instead of walking them.
+    API and the test oracles' walk; the density constant counts the
+    independent subsets by elimination instead of walking them.
     """
     w = _subset_mask(cs, subset)
-    bits = [i for i in range(cs.k) if w >> i & 1]
+    bits = list(_bits(w))
     edges = cs.edge_masks
     for v in range(1 << len(bits)):
         m = 0
@@ -206,9 +196,9 @@ def find_cover(cs: ConditionSet) -> frozenset[int]:
 
     Branch-and-bound over which index of each deficient condition stays
     outside; deterministic, and never touches isolated indices since all
-    added indices come from condition index sets.  The density constant
-    does not depend on the cover, so the greedy fallback costs only the
-    size of downstream subset enumerations, never correctness.
+    added indices come from condition index sets.  Covers describe the
+    paper's per-prime view (`local_view`, the `factors` report); the
+    density constant does not use one.
     """
     edges = cs.edge_masks
     if not edges:

@@ -8,7 +8,7 @@ a condition all of whose other members are forced strictly above its
 exponent.  What remains of each condition, after pinned coordinates and
 non-attaining coordinates are stripped, is a residual all-targets-one
 system recording which coordinates must still drop to their minimum
-simultaneously.  The density module consumes these views prime by prime.
+simultaneously.  The density module reads each condition's core off core_masks.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ from .errors import InadmissibleError
 from .model import (
     Condition,
     ConditionSet,
+    _mask_of,
+    _set_of,
     canonical_witness,
-    check_cover,
     is_cover,
     isolated_indices,
 )
@@ -81,6 +82,12 @@ def valuations(cs: ConditionSet, p: int) -> tuple[dict[frozenset[int], int], dic
     return g, v
 
 
+def core_masks(g: dict[frozenset[int], int], v: dict[int, int]) -> tuple[int, list[int]]:
+    """(sum of v, each condition's core as a bitmask): core(T) holds the i in T
+    with v[i] = g(T), and is T itself at a prime dividing no target."""
+    return sum(v.values()), [_mask_of(i for i in t if v[i] == e) for t, e in g.items()]
+
+
 def z_set(cs: ConditionSet, p: int) -> frozenset[int]:
     """Coordinates whose exponent at p is pinned to exactly v[i].
 
@@ -111,21 +118,25 @@ def local_view(cs: ConditionSet, p: int, cover: Iterable[int]) -> LocalView:
     a residual edge shrinking below two members raises InadmissibleError,
     since that can only happen when no solution exists.
     """
-    w = check_cover(cs, cover)
+    w = frozenset(cover)
+    if not is_cover(cs, w):
+        raise ValueError(f"{sorted(w)} is not a cover of the condition system")
+    iso = w & isolated_indices(cs)
+    if iso:
+        raise ValueError(f"cover must exclude isolated indices, found {sorted(iso)}")
     g, v = valuations(cs, p)
     z = _pinned(cs, g, v)
     s_p = frozenset(range(1, cs.k + 1)) - z
-    kept: dict[frozenset[int], None] = {}
-    for c in cs.conditions:
-        gt = g[c.indices]
-        core = frozenset(i for i in c.indices if v[i] == gt)
-        if core & z:
+    pinned = _mask_of(z)
+    kept: dict[int, None] = {}
+    for c, core in zip(cs.conditions, core_masks(g, v)[1]):
+        if core & pinned:
             # a pinned coordinate already attains the minimum: nothing left
             continue
-        if len(core) < 2:
+        if core.bit_count() < 2:
             raise InadmissibleError(p, c.indices)
         kept.setdefault(core)
-    reduced = ConditionSet(cs.k, tuple(Condition(e, 1) for e in kept))
+    reduced = ConditionSet(cs.k, tuple(Condition(_set_of(e), 1) for e in kept))
     i_set = isolated_indices(reduced) & s_p
     w_p = w - (z | i_set)
     if not is_cover(reduced, w_p):

@@ -319,6 +319,16 @@ class TestConstant:
         doc = {"k": 2, "conditions": [{"indices": [1, 2], "gcd": 101}]}
         assert main(["constant", write_doc(doc), "--prime-bound", "50"]) == 3
 
+    def test_over_state_cap_is_resource_exit(self, write_doc, capsys):
+        # complete bipartite K_{24,24}: the subset sums pass their state cap
+        pairs = [[i, j] for i in range(1, 25) for j in range(25, 49)]
+        path = write_doc({"k": 48, "conditions": [{"indices": t, "gcd": 1} for t in pairs]})
+        for cmd in (["constant", path], ["factors", path, "--primes", "2"]):
+            start = time.perf_counter()
+            assert main(cmd) == 3
+            assert time.perf_counter() - start < 5  # 0.2-0.3 s on a 2-vCPU VM
+            assert "65536-state cap" in capsys.readouterr().err
+
     def test_cutoff_above_limit_is_resource_exit(self, write_doc, capsys):
         path = write_doc(PAIR2)
         for cmd in (["constant", path], ["verify", path, "--limit", "10"]):

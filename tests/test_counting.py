@@ -191,7 +191,7 @@ class TestWalk:
         by_size = [0] * (m + 1)
         for size, g in zip(sets.sum(axis=1).tolist(), weights):
             by_size[size] += g
-        assert FactorPolynomial(tuple(by_size)) == generic_factor_polynomial(cs, find_cover(cs))
+        assert FactorPolynomial(tuple(by_size)) == generic_factor_polynomial(cs)
 
     @given(target_systems())
     @settings(max_examples=80, deadline=None)

@@ -45,6 +45,29 @@ from helpers import (
 ZETA2 = pi**2 / 6
 INV_ZETA3 = 0.8319073725807075  # 1/zeta(3), float64
 
+# Complete bipartite K_{24,24}: every elimination order keeps about 24
+# indices on the frontier, so the subset sums pass the state cap.
+OVER_CAP = condition_set(48, {(i, j): 1 for i in range(1, 25) for j in range(25, 49)})
+
+
+def pairwise_coefficients(k):
+    # Toth's (1-t)^(k-1) (1 + (k-1) t), expanded
+    coeffs = [0] * (k + 1)
+    for j in range(k):
+        c = comb(k - 1, j) * (-1) ** j
+        coeffs[j] += c
+        coeffs[j + 1] += c * (k - 1)
+    return tuple(coeffs)
+
+
+def rwise_coefficients(k, r):
+    # sum over x < r of C(k, x) t^x (1-t)^(k-x), expanded
+    coeffs = [0] * (k + 1)
+    for x in range(r):
+        for j in range(k - x + 1):
+            coeffs[x + j] += comb(k, x) * comb(k - x, j) * (-1) ** j
+    return tuple(coeffs)
+
 
 class TestLocalFactor:
     def test_pairwise_at_two(self):
@@ -59,13 +82,21 @@ class TestLocalFactor:
         view = local_view(condition_set(2, {(1, 2): 2}), 2, {1})
         assert local_factor(view) == Fraction(3, 16)
 
-    def test_residual_cover_above_limit_rejected(self):
-        # complete pairwise k=26: the greedy cover keeps 25 indices at p=2
+    def test_complete_pairwise_k26_at_two(self):
+        # a residual cover of 25 indices at p=2; Toth's factor (1-t)^25 (1+25t)
+        # at t = 1/2 is 27/2^26
         cs = condition_set(26, {t: 1 for t in itertools.combinations(range(1, 27), 2)})
         view = local_view(cs, 2, find_cover(cs))
         assert len(view.w_p) == 25
-        with pytest.raises(ResourceLimitError, match="cover of size 25 exceeds"):
+        assert local_factor(view) == Fraction(27, 2**26)
+
+    def test_over_state_cap_rejected_in_bounded_time(self):
+        # the cap bounds the work: the refusal took 0.3 s on a 2-vCPU VM
+        view = local_view(OVER_CAP, 2, find_cover(OVER_CAP))
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=f"{density.MAX_STATES}-state cap"):
             local_factor(view)
+        assert time.perf_counter() - start < 5
 
     def test_pinned_index_inside_larger_condition(self):
         # the surviving min-constraint on {1,2} contributes (1 - 1/p^2)
@@ -93,20 +124,16 @@ class TestLocalFactor:
 
 class TestGenericFactorPolynomial:
     def test_single_pair(self):
-        poly = generic_factor_polynomial(condition_set(2, {(1, 2): 1}), {1})
+        poly = generic_factor_polynomial(condition_set(2, {(1, 2): 1}))
         assert poly.coefficients == (1, 0, -1)
 
     def test_path_of_two_pairs(self):
-        poly = generic_factor_polynomial(condition_set(3, {(1, 2): 1, (2, 3): 1}), {2})
+        poly = generic_factor_polynomial(condition_set(3, {(1, 2): 1, (2, 3): 1}))
         assert poly.coefficients == (1, 0, -2, 1)
 
     def test_empty_system(self):
-        poly = generic_factor_polynomial(ConditionSet(2), frozenset())
+        poly = generic_factor_polynomial(ConditionSet(2))
         assert poly.coefficients == (1,)
-
-    def test_rejects_non_cover(self):
-        with pytest.raises(ValueError):
-            generic_factor_polynomial(condition_set(2, {(1, 2): 1}), set())
 
     def test_invariants_enforced(self):
         with pytest.raises(AssertionError):
@@ -118,7 +145,7 @@ class TestGenericFactorPolynomial:
     @settings(max_examples=40, deadline=None)
     def test_structure_and_local_agreement_off_support(self, cs):
         w = find_cover(cs)
-        poly = generic_factor_polynomial(cs, w)
+        poly = generic_factor_polynomial(cs)
         assert poly.coefficients[0] == 1
         assert poly.degree < 2 or poly.coefficients[1] == 0
         assert poly.degree <= cs.k
@@ -133,40 +160,54 @@ class TestGenericFactorPolynomial:
                 break
 
     def test_cover_choice_does_not_change_polynomial(self):
+        # the paper's sums over the independent subsets of either cover
         cs = condition_set(3, {(1, 2): 1, (2, 3): 1})
-        a = generic_factor_polynomial(cs, {2})
-        b = generic_factor_polynomial(cs, {1, 3})
-        assert a.coefficients == b.coefficients
+        poly = generic_factor_polynomial(cs)
+        assert naive_factor_polynomial(cs, {2}) == poly == naive_factor_polynomial(cs, {1, 3})
 
     def test_path_k40_matches_independent_set_count(self):
         # consecutive-coprime 40-tuples: a path has C(41 - j, j) independent
         # sets of size j, and each contributes t^j (1-t)^(40-j)
         cs = condition_set(40, {(i, i + 1): 1 for i in range(1, 40)})
-        w = find_cover(cs)
-        assert len(w) == 20
         coeffs = [0] * 41
         for j in range(21):
             for i in range(41 - j):
                 coeffs[j + i] += comb(41 - j, j) * comb(40 - j, i) * (-1) ** i
-        assert generic_factor_polynomial(cs, w) == FactorPolynomial(tuple(coeffs))
+        assert generic_factor_polynomial(cs) == FactorPolynomial(tuple(coeffs))
+
+    @pytest.mark.parametrize(
+        "k, r, seconds",
+        # covers of 63, 19 and 23 indices; the polynomials took 35 ms, 9 ms
+        # and 0.2-0.3 s on a 2-vCPU VM, and the bounds leave room for slower machines
+        [(64, 2, 1), (20, 3, 1), (24, 4, 10)],
+    )
+    def test_rwise_closed_forms_of_wide_systems(self, k, r, seconds):
+        cs = condition_set(k, {t: 1 for t in itertools.combinations(range(1, k + 1), r)})
+        start = time.perf_counter()
+        poly = generic_factor_polynomial(cs)
+        assert time.perf_counter() - start < seconds
+        expected = pairwise_coefficients(k) if r == 2 else rwise_coefficients(k, r)
+        assert poly == FactorPolynomial(expected)
+
+    def test_over_state_cap_rejected_in_bounded_time(self):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=f"{density.MAX_STATES}-state cap"):
+            generic_factor_polynomial(OVER_CAP)
+        assert time.perf_counter() - start < 5
 
 
 class TestSubsetHistogramKernel:
-    """The vectorized subset sums against the one-subset-at-a-time loops."""
-
-    @pytest.fixture(autouse=True)
-    def small_chunks(self, monkeypatch):
-        # four masks per chunk, so every cover of three or more indices
-        # crosses chunk boundaries
-        monkeypatch.setattr(density, "_CHUNK", 4)
+    """The elimination kernel's counts of subsets by size, against the paper's
+    sums over the independent subsets of a cover, walked one at a time."""
 
     @staticmethod
     def covers(cs):
         return find_cover(cs), frozenset(range(1, cs.k + 1)) - isolated_indices(cs)
 
     def assert_matches_loops(self, cs, primes):
+        poly = generic_factor_polynomial(cs)
         for w in self.covers(cs):
-            assert generic_factor_polynomial(cs, w) == naive_factor_polynomial(cs, w)
+            assert poly == naive_factor_polynomial(cs, w)
             for p in primes:
                 view = local_view(cs, p, w)
                 assert local_factor(view) == naive_local_factor(view)
@@ -176,6 +217,47 @@ class TestSubsetHistogramKernel:
         for _ in range(60):
             cs = random_admissible(rng, max_k=9, max_base=40)
             self.assert_matches_loops(cs, relevant_primes(cs) + (2, 7))
+
+    def test_random_systems_match_valuation_probability(self):
+        rng = random.Random(20261018)
+        for _ in range(40):
+            cs = random_admissible(rng, max_k=6, max_base=12)
+            for p in relevant_primes(cs) + (2, 7):
+                assert local_factor(local_view(cs, p, find_cover(cs))) == valuation_probability(cs, p)
+
+    def test_constant_takes_the_same_target_factors(self):
+        # constant reads the cores off valuations, with no local_view
+        rng = random.Random(20261019)
+        for _ in range(20):
+            cs = random_admissible(rng, max_k=7, max_base=40)
+            special = relevant_primes(cs)
+            cutoff = max(2 * generic_factor_polynomial(cs).tail_constant, *special, 2)
+            trace = dict(constant(cs, cutoff).factor_trace)
+            for p in special:
+                assert trace[p] == local_factor(local_view(cs, p, find_cover(cs)))
+
+    @pytest.mark.parametrize(
+        "cs",
+        [
+            condition_set(8, {(1, 2): 6, (2, 3): 10, (3, 4, 5): 4, (5, 6): 12, (6, 7, 8): 9, (1, 8): 3}),
+            condition_set(5, {(1, 2, 3): 1, (3, 4): 2, (4, 5): 4}),
+            condition_set(40, {(i, i + 1): 1 for i in range(1, 40)}),  # a path
+            condition_set(30, {(1, j): 1 for j in range(2, 31)}),  # a star
+            condition_set(12, {t: 1 for t in itertools.combinations(range(1, 13), 3)}),
+        ],
+        ids=["mixed", "cascade", "path", "star", "3-wise"],
+    )
+    def test_relabelling_leaves_sums_unchanged(self, cs):
+        # the elimination order follows the labels only through ties, so a
+        # wrong order rule shows up as a change under relabelling
+        poly = generic_factor_polynomial(cs)
+        factors = [local_factor(local_view(cs, p, find_cover(cs))) for p in (2, 3, 5)]
+        rng = random.Random(cs.k)
+        for _ in range(5):
+            label = dict(zip(range(1, cs.k + 1), rng.sample(range(1, cs.k + 1), cs.k)))
+            moved = condition_set(cs.k, {tuple(label[i] for i in c.indices): c.value for c in cs.conditions})
+            assert generic_factor_polynomial(moved) == poly
+            assert [local_factor(local_view(moved, p, find_cover(moved))) for p in (2, 3, 5)] == factors
 
     def test_cover_containing_index_64(self):
         cs = condition_set(
@@ -187,6 +269,7 @@ class TestSubsetHistogramKernel:
     def test_pinned_cascade_at_two(self):
         cs = condition_set(5, {(1, 2, 3): 1, (3, 4): 2, (4, 5): 4})
         self.assert_matches_loops(cs, (2,))
+        assert local_factor(local_view(cs, 2, find_cover(cs))) == valuation_probability(cs, 2)
 
 
 class TestConstant:
@@ -224,10 +307,32 @@ class TestConstant:
         with pytest.raises(CutoffTooSmallError):
             constant(condition_set(2, {(1, 2): 1}), prime_cutoff=1)
 
-    def test_oversize_cover_rejected(self):
+    def test_over_state_cap_rejected_in_bounded_time(self):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=f"{density.MAX_STATES}-state cap"):
+            constant(OVER_CAP, prime_cutoff=10**4)
+        assert time.perf_counter() - start < 5
+
+    def test_complete_pairwise_k30_needs_cutoff_2c(self):
+        # C is about 1.5e10, so the tail bound refuses the cutoff
         cs = condition_set(30, {(i, j): 1 for i in range(1, 31) for j in range(i + 1, 31)})
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(CutoffTooSmallError, match="below 2C"):
             constant(cs, prime_cutoff=10**4)
+
+    def test_25_disjoint_pairs_match_toth_power(self):
+        # A cover of 25 indices.  The value is a product over
+        # the pi(10^8) = 5,761,455 primes, and so is each Toth k=2 oracle
+        # factor.  Per prime, Horner's value of (1-t^2)^25 near 1 carries
+        # about one unit of 2^-53 from its last addition, the higher terms
+        # a small fraction of one, and np.log about one more; take 5 units.
+        # The oracle's 1 - t^2 carries at most 3, taken 25 times over in its
+        # 25th power.  So |log(value/oracle)| <= 5,761,455 * 80 * 2^-53,
+        # about 5.1e-8; errors of either sign mostly cancel across primes.
+        cs = condition_set(50, {(2 * i - 1, 2 * i): 1 for i in range(1, 26)})
+        res = constant(cs, prime_cutoff=10**8)
+        oracle = toth_pairwise_constant(2, 10**8) ** 25
+        assert res.value == pytest.approx(oracle, rel=5_761_455 * 80 * 2.0**-53, abs=0)
+        assert res.lower <= oracle <= res.upper
 
     def test_prime_cutoff_above_limit_rejected_before_sieving(self, monkeypatch):
         def no_sieve(*args):
@@ -238,11 +343,10 @@ class TestConstant:
         with pytest.raises(ResourceLimitError, match=str(MAX_PRIME_CUTOFF)):
             constant(condition_set(2, {(1, 2): 1}), prime_cutoff=MAX_PRIME_CUTOFF + 1)
 
-    def test_result_carries_cover_and_tail_constant(self):
+    def test_result_carries_tail_constant(self):
         cs = condition_set(3, {(1, 2): 6, (2, 3): 10})
         res = constant(cs, prime_cutoff=10**4)
-        assert res.cover == find_cover(cs)
-        assert res.tail_constant == generic_factor_polynomial(cs, res.cover).tail_constant
+        assert res.tail_constant == generic_factor_polynomial(cs).tail_constant == 3
 
     def test_trace_contents(self):
         res = constant(condition_set(3, {(1, 2): 6, (2, 3): 10}), prime_cutoff=10**4)
@@ -266,7 +370,8 @@ class TestConstant:
             w2 = frozenset(range(1, cs.k + 1)) - isolated_indices(cs)
             if w1 == w2:
                 continue
-            assert generic_factor_polynomial(cs, w1) == generic_factor_polynomial(cs, w2)
+            poly = generic_factor_polynomial(cs)
+            assert naive_factor_polynomial(cs, w1) == poly == naive_factor_polynomial(cs, w2)
             for p in sorted({*relevant_primes(cs), 2, 3, 5}):
                 assert local_factor(local_view(cs, p, w1)) == local_factor(local_view(cs, p, w2))
             done += 1
@@ -421,7 +526,7 @@ class TestEulerProductKernels:
         cs = condition_set(5, {(1, 2, 3): 1, (3, 4): 2, (4, 5): 4})
         w = find_cover(cs)
         special = [(p, local_factor(local_view(cs, p, w))) for p in relevant_primes(cs)]
-        self.assert_same_bits(generic_factor_polynomial(cs, w), cutoff, special)
+        self.assert_same_bits(generic_factor_polynomial(cs), cutoff, special)
 
 
 class TestThreadedProduct:
@@ -445,7 +550,7 @@ class TestThreadedProduct:
         cs = condition_set(3, {(1, 2): 6, (2, 3): 10})
         w = find_cover(cs)
         special = [(p, local_factor(local_view(cs, p, w))) for p in relevant_primes(cs)]
-        self.assert_naive_bits_on_1_2_3_threads(monkeypatch, generic_factor_polynomial(cs, w), cutoff, special)
+        self.assert_naive_bits_on_1_2_3_threads(monkeypatch, generic_factor_polynomial(cs), cutoff, special)
 
     def test_wholly_skipped_segments(self, monkeypatch):
         # 16-wide segments, two of them made of special primes only
