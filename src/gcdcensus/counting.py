@@ -1,22 +1,23 @@
 """Exact counts of satisfying tuples and convergence diagnostics.
 
 The indicator delta of a system is multiplicative in every coordinate, so
-delta = g * 1 coordinatewise (Dirichlet convolution).  Over the m
-coordinates that lie in some condition (each other one is a free factor x),
+delta = g * 1 coordinatewise (Dirichlet convolution).  `count` renumbers
+the m coordinates that lie in some condition as 1..m (each other one is a
+free factor x), and then
 
     count(x) = sum over d in [1, x]^m of g(d) * prod_i floor(x / d_i),
 
 with g(d) = prod_p g_p(v_p(d)): the Dirichlet-series view of the paper.
-Each g_p is the m-fold finite difference of the local indicator delta_p,
-and one kernel, `_local_patterns`, lists its nonzero exponent patterns:
-at a target prime up to an exponent cap, at every other prime with all
-orders 0 and cap 1, where the patterns are the dependent index sets S.
+At each prime, `_local_patterns` lists the index sets S where g_p(v + S),
+v the forced orders, is nonzero, from the cores of padic.core_masks that
+the density constant sums too; g_p vanishes at every other pattern.
 `_walk` sums the series prime by prime in ascending order.  It loses to
 `_scan`, a depth-first box scan cut wherever a partial gcd already misses
 its target, on dense systems with many active coordinates, so the walk
 declines those (returns None) from the system alone, before it sums
 anything, and `count` then runs the scan.  The tests keep full-box
-enumeration as the oracle for both, and `nymann_count`, a Mobius sum, as
+enumeration as the oracle for both, the finite difference of delta_p on a
+dense exponent grid for the tables, and `nymann_count`, a Mobius sum, as
 an independent oracle for the fully-coprime system.
 """
 
@@ -26,11 +27,11 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd, inf, log, prod
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import ResourceLimitError
-from .model import ConditionSet, canonical_witness, delta, isolated_indices, neighbors, position_masks
-from .padic import padic_order, relevant_primes
+from .model import Condition, ConditionSet, canonical_witness, delta, isolated_indices, neighbors
+from .padic import core_masks, relevant_primes, valuations
 from .primes import mobius_up_to, primes_up_to
 
 if TYPE_CHECKING:
@@ -42,9 +43,12 @@ _COUNT_GUARD = 10**10
 _NYMANN_LIMIT = 10**7  # the Mobius sieve and block sum to 10^7 take about 0.4 s and 90 MB
 
 # The walk declines a system with more active coordinates than the first, or
-# with a target prime whose pattern grid would exceed the second; that limit
-# also bounds the grid's memory (at 2^20 entries, 8 MB of int64 weights and
-# one byte per coordinate for the exponents).
+# with a target prime p where (cap + 1)^m, for cap = _exponent_cap(p, max v,
+# x), exceeds the second.  Its tables hold at most 2^m rows at any prime, so
+# the second is a crossover rule, not a memory bound: under the count guard
+# it fires only at p = 2, m >= 11 and x <= 8, where the scan wins.  Without
+# it (2-vCPU VM), path k=16 with targets 2 at x = 4 took 1.4 s in the walk
+# against 19 ms in the scan, and path k=13 57 ms against 4 ms.
 _WALK_MAX_ACTIVE = 16
 _TABLE_LIMIT = 1 << 20
 
@@ -86,27 +90,29 @@ def count(cs: ConditionSet, x: int) -> int:
     active = sorted(set(range(1, cs.k + 1)) - isolated_indices(cs))
     if not active:
         return x**cs.k
-    hits = _walk(cs, active, x)
+    rank = {i: r for r, i in enumerate(active, 1)}
+    renumbered = (Condition(frozenset(rank[i] for i in c.indices), c.value) for c in cs.conditions)
+    sub = ConditionSet(len(active), tuple(renumbered))
+    hits = _walk(sub, x)
     if hits is None:
-        hits = _scan(cs, active, x)
-    return hits * x ** (cs.k - len(active))
+        hits = _scan(sub, x)
+    return hits * x ** (cs.k - sub.k)
 
 
-def _scan(cs: ConditionSet, active: list[int], x: int) -> int:
-    """Solutions in [1, x]^m over the active coordinates (every index of
-    every condition), by a depth-first walk of the box in ascending index
-    order.  A prefix is cut once a partial gcd stops being a multiple of
-    its target (or, for a complete condition, equal to it); the last
-    coordinate is tested for all of 1..x at once."""
+def _scan(sub: ConditionSet, x: int) -> int:
+    """Solutions in [1, x]^m of sub, by a depth-first walk of the box in
+    ascending index order.  A prefix is cut once a partial gcd stops being
+    a multiple of its target (or, for a complete condition, equal to it);
+    the last coordinate is tested for all of 1..x at once."""
     import numpy as np
     # per position: (condition, target, whether the position is its last index)
     steps = [
-        [(ci, c.value, i == max(c.indices)) for ci, c in enumerate(cs.conditions) if i in c.indices]
-        for i in active
+        [(ci, c.value, i == max(c.indices)) for ci, c in enumerate(sub.conditions) if i in c.indices]
+        for i in range(1, sub.k + 1)
     ]
-    depth = len(active) - 1
+    depth = sub.k - 1
     ns = np.arange(1, x + 1, dtype=np.int64)
-    partial = [0] * len(cs.conditions)
+    partial = [0] * len(sub.conditions)
 
     def walk(pos: int) -> int:
         if pos == depth:
@@ -134,85 +140,80 @@ def _scan(cs: ConditionSet, active: list[int], x: int) -> int:
 
 
 def _exponent_cap(p: int, top: int, x: int) -> int:
-    """min(top + 1, floor(log_p x)): past top + 1 every g_p vanishes, and
-    past log_p x no d_i <= x has room."""
+    """min(top + 1, floor(log_p x)) for top the largest order of p in a
+    target: the largest exponent of p in any d_i <= x with g_p != 0.  The
+    walk's crossover rule reads it."""
     cap, power = 0, p
     while cap <= top and power <= x:
         cap, power = cap + 1, power * p
     return cap
 
 
-def _local_patterns(
-    masks: list[int], orders: list[int], cap: int, m: int
-) -> tuple[np.ndarray, list[int]]:
-    """The exponent patterns a in {0..cap}^m with g_p(a) != 0, as the rows
-    of an integer array with a_i in column i, and their weights g_p(a).
-
-    g_p is the m-fold finite difference of the local indicator delta_p(a),
-    which holds when min{a_i : i in T} equals orders[j] for every condition
-    T = masks[j].  Rows ascend in sum a_i (cap + 1)^i, so with all orders 0
-    and cap 1 (a prime dividing no target) row a is the index set S with
-    bitmask a, in ascending order, and g(S) is the signed count of the
-    independent subsets of S: 1 at the empty set, 0 at any other independent S.
+def _local_patterns(cores: Iterable[int], m: int) -> tuple[np.ndarray, list[int]]:
+    """The index sets S of [m] with g(S) != 0, as an ascending array of
+    bitmasks, and their weights g(S): the subset Mobius transform of "S
+    holds no whole core", 1 at the empty set.  At a prime with forced orders
+    v and these cores (padic.core_masks), g_p(v + S) = g(S) and g_p vanishes
+    off v + {0,1}^m; at a prime dividing no target, v = 0 and the cores are
+    the condition sets.
     """
     import numpy as np
-    side = cap + 1
-    # row i holds a_i of every entry, whose a sits at sum a_i side^i
-    digits = np.indices((side,) * m, dtype=np.int8).reshape(m, -1)[::-1]
-    delta = np.ones(side**m, dtype=bool)
-    for mask, e in zip(masks, orders):
-        low = None
-        for i in range(m):
-            if mask >> i & 1:
-                low = digits[i] if low is None else np.minimum(low, digits[i])
-        delta &= low == e
-    g = delta.astype(np.int64)
+    sets = np.arange(1 << m)
+    free = np.ones(1 << m, dtype=bool)
+    for core in cores:
+        free &= sets & core != core
+    g = free.astype(np.int64)
     for i in range(m):
-        steps = g.reshape(-1, side, side**i)
-        steps[:, 1:] -= steps[:, :-1]  # numpy buffers the overlap
+        steps = g.reshape(-1, 2, 1 << i)  # axis 1 is bit i
+        steps[:, 1] -= steps[:, 0]
     where = np.flatnonzero(g)
-    return np.stack([a[where] for a in digits], axis=1), g[where].tolist()
+    return where, g[where].tolist()
 
 
-def _walk(cs: ConditionSet, active: list[int], x: int) -> int | None:
-    """Solutions in [1, x]^m over the active coordinates, by the series
-    sum of g(d) * prod_i floor(x / d_i) over d in [1, x]^m; None, before
-    any summing, where the box scan is the better kernel.
+def _walk(sub: ConditionSet, x: int) -> int | None:
+    """Solutions in [1, x]^m of sub, by the series sum of g(d) *
+    prod_i floor(x / d_i) over d in [1, x]^m; None, before any summing,
+    where the box scan is the better kernel.
 
-    The walk declines m > 16, any target prime whose pattern grid exceeds
-    _TABLE_LIMIT, and m > 4 when more than half of the 2^m index sets S
-    have g(S) != 0: its node count grows with the nonzero patterns, the
-    scan's cost with x^(m-1), and complete pairwise systems with m >= 5
-    sit on the scan's side (timings in CHANGES.md).
+    The walk declines m > 16, a target prime past the _TABLE_LIMIT rule,
+    and m > 4 when more than half of the 2^m index sets S have g(S) != 0:
+    its node count grows with the nonzero patterns, the scan's cost with
+    x^(m-1), and complete pairwise systems with m >= 5 sit on the scan's
+    side (timings in CHANGES.md).
 
-    The target primes' patterns come first, each merging the partial
-    products into distinct quotient vectors y = floor(x / d); every other
-    prime then multiplies some dependent S by p, in ascending order.  A
-    node sums its children's terms over a numpy array of primes at once
-    and recurses only into children where a further prime still fits.
+    The target primes' tables come first, from their cores: each row S is
+    a divisor vector p^(v_i + S_i) that merges the partial products into
+    distinct quotient vectors y = floor(x / d), rows with a divisor above y
+    dropped; every other prime then multiplies some dependent S by p, in
+    ascending order.  A node sums its children's terms over a numpy array
+    of primes at once and recurses only into children where a further
+    prime still fits.
     """
     import numpy as np
-    m = len(active)
+    m = sub.k
     if m > _WALK_MAX_ACTIVE:
         return None
-    masks = position_masks(cs, active)
-    special = relevant_primes(cs)
+    special = relevant_primes(sub)
     targets = []
     for p in special:
-        orders = [padic_order(c.value, p) for c in cs.conditions]
-        cap = _exponent_cap(p, max(orders), x)
-        if (cap + 1) ** m > _TABLE_LIMIT:
+        orders, forced = valuations(sub, p)
+        if (_exponent_cap(p, max(forced.values()), x) + 1) ** m > _TABLE_LIMIT:
             return None
-        targets.append((p, orders, cap))
-    sets, set_weights = _local_patterns(masks, [0] * len(masks), 1, m)
+        targets.append((p, forced, core_masks(orders, forced)[1]))
+    sets, set_weights = _local_patterns(sub.edge_masks, m)
     if m > 4 and 2 * len(set_weights) > 1 << m:
         return None
 
     nodes = {(x,) * m: 1}
-    for p, orders, cap in targets:
-        exponents, weights = _local_patterns(masks, orders, cap, m)
-        powers = p ** np.arange(cap + 1, dtype=np.int64)
-        table = list(zip(map(tuple, powers[exponents].tolist()), weights))
+    for p, forced, cores in targets:
+        low = [p ** forced[i] for i in range(1, m + 1)]
+        fits = sum(1 << i for i, d in enumerate(low) if d * p <= x)  # a row raising any other index exceeds x
+        rows, weights = _local_patterns(cores, m)
+        table = [
+            (tuple(d * p if s >> i & 1 else d for i, d in enumerate(low)), g)
+            for s, g in zip(rows.tolist(), weights)
+            if not s & ~fits
+        ]
         merged: dict[tuple[int, ...], int] = {}
         for y, w in nodes.items():
             for divisors, g in table:
@@ -221,10 +222,11 @@ def _walk(cs: ConditionSet, active: list[int], x: int) -> int | None:
                     merged[child] = merged.get(child, 0) + w * g
         nodes = {y: w for y, w in merged.items() if w}
 
-    members = sets[1:].astype(bool)  # the empty set is the node itself
+    members = (sets[1:, None] >> np.arange(m) & 1).astype(bool)  # the empty set is the node itself
     pattern_weights = set_weights[1:]
     # every S with g(S) != 0 contains a condition set holding no other, so a
     # further prime fits exactly when it fits all of one such set
+    masks = sub.edge_masks
     minimal = [e for e in set(masks) if not any(f != e and f & e == f for f in masks)]
     edges = [[i for i in range(m) if e >> i & 1] for e in minimal]
     width = max(map(len, edges))

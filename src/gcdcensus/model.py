@@ -159,13 +159,6 @@ def isolated_indices(cs: ConditionSet) -> frozenset[int]:
     return _set_of(cs.index_mask & ~cs.member_mask)
 
 
-def position_masks(cs: ConditionSet, coordinates: Iterable[int]) -> list[int]:
-    """Each condition's index set as bits over the sorted `coordinates`, bit b
-    standing for the b-th smallest; indices outside `coordinates` are dropped."""
-    pos = {i: b for b, i in enumerate(sorted(coordinates))}
-    return [sum(1 << pos[i] for i in c.indices if i in pos) for c in cs.conditions]
-
-
 def enumerate_independent_subsets(
     cs: ConditionSet, subset: Iterable[int]
 ) -> Iterator[frozenset[int]]:

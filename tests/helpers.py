@@ -5,7 +5,8 @@ paths: the enumeration oracle walks tuples with itertools and math.gcd,
 the admissibility and witness oracles apply the criterion prime by prime
 with primes and valuations found by trial division, the local-factor
 oracle sums capped geometric valuation probabilities directly, the
-subset-sum oracles walk every independent subset one by one, the
+local-pattern oracle takes finite differences on a dense exponent grid,
+the subset-sum oracles walk every independent subset one by one, the
 Euler-product oracle evaluates the polynomial with np.polyval and sums
 each sieve block with math.fsum, and the Mobius oracle factors by trial
 division.
@@ -43,6 +44,36 @@ def naive_count(cs: ConditionSet, x: int) -> int:
                 break
         total += ok
     return total
+
+
+def naive_local_patterns(
+    masks: list[int], orders: list[int], cap: int, m: int
+) -> tuple[np.ndarray, list[int]]:
+    """The exponent patterns a in {0..cap}^m with g_p(a) != 0, as the rows
+    of an integer array with a_i in column i, and their weights g_p(a), by
+    the m-fold finite difference of the local indicator on the dense grid.
+
+    delta_p(a) holds when min{a_i : i in T} equals orders[j] for every
+    condition T = masks[j] (bit i standing for column i).  A difference
+    only reads smaller patterns, so the grid's edge at cap cuts no entry
+    short.  Rows ascend in sum a_i (cap + 1)^i.
+    """
+    side = cap + 1
+    # row i holds a_i of every entry, whose a sits at sum a_i side^i
+    digits = np.indices((side,) * m, dtype=np.int8).reshape(m, -1)[::-1]
+    delta = np.ones(side**m, dtype=bool)
+    for mask, e in zip(masks, orders):
+        low = None
+        for i in range(m):
+            if mask >> i & 1:
+                low = digits[i] if low is None else np.minimum(low, digits[i])
+        delta &= low == e
+    g = delta.astype(np.int64)
+    for i in range(m):
+        steps = g.reshape(-1, side, side**i)
+        steps[:, 1:] -= steps[:, :-1]  # numpy buffers the overlap
+    where = np.flatnonzero(g)
+    return np.stack([a[where] for a in digits], axis=1), g[where].tolist()
 
 
 def naive_first(cs: ConditionSet, bound: int):

@@ -5,7 +5,6 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,20 +18,15 @@ from gcdcensus import (
     empirical_report,
     nymann_count,
 )
-from gcdcensus import FactorPolynomial, counting, find_cover, generic_factor_polynomial, isolated_indices
+from gcdcensus import FactorPolynomial, counting, find_cover, generic_factor_polynomial
 from gcdcensus import local_factor, local_view, relevant_primes
-from gcdcensus.model import position_masks
-from gcdcensus.padic import padic_order
+from gcdcensus.padic import core_masks, valuations
 
-from helpers import condition_sets, naive_count, trial_mobius
+from helpers import condition_sets, naive_count, naive_local_patterns, trial_mobius, trial_order
 
 
 def mobius_count_oracle(k: int, x: int) -> int:
     return sum(trial_mobius(d) * (x // d) ** k for d in range(1, x + 1))
-
-
-def active_of(cs: ConditionSet) -> list[int]:
-    return sorted(set(range(1, cs.k + 1)) - isolated_indices(cs))
 
 
 def pairwise(k: int, target: int = 1) -> ConditionSet:
@@ -164,10 +158,9 @@ class TestWalk:
     @given(prime_power_systems(), st.data())
     @settings(max_examples=150, deadline=None)
     def test_matches_naive_enumeration(self, cs, data):
-        # x = 1 and targets above x included; isolated indices add a free factor
+        # x = 1, targets above x and isolated indices included
         x = data.draw(st.integers(1, 12 if cs.k <= 3 else 8))
-        active = active_of(cs)
-        assert counting._walk(cs, active, x) * x ** (cs.k - len(active)) == naive_count(cs, x)
+        assert counting._walk(cs, x) == naive_count(cs, x)
 
     @pytest.mark.parametrize(
         "targets, x",
@@ -175,40 +168,51 @@ class TestWalk:
     )
     def test_prime_powers_and_targets_above_x(self, targets, x):
         cs = condition_set(3, targets)
-        assert counting._walk(cs, [1, 2, 3], x) == naive_count(cs, x)
+        assert counting._walk(cs, x) == naive_count(cs, x)
 
     @given(condition_sets(max_k=8, allow_empty=False))
     @settings(max_examples=60, deadline=None)
     def test_generic_weights_sum_to_factor_polynomial(self, cs):
         # sum of g(S) over |S| = j is c_j: both are the local factor at a
         # prime dividing no target, as a polynomial in 1/p
-        active = active_of(cs)
-        m = len(active)
-        masks = position_masks(cs, active)
-        sets, weights = counting._local_patterns(masks, [0] * len(masks), 1, m)
-        bitmasks = (sets << np.arange(m)).sum(axis=1).tolist()
-        assert bitmasks[0] == 0 and bitmasks == sorted(set(bitmasks))  # the walk relies on the order
-        by_size = [0] * (m + 1)
-        for size, g in zip(sets.sum(axis=1).tolist(), weights):
-            by_size[size] += g
+        sets, weights = counting._local_patterns(cs.edge_masks, cs.k)
+        sets = sets.tolist()
+        assert sets[0] == 0 and sets == sorted(set(sets))  # the walk relies on the order
+        by_size = [0] * (cs.k + 1)
+        for s, g in zip(sets, weights):
+            by_size[s.bit_count()] += g
         assert FactorPolynomial(tuple(by_size)) == generic_factor_polynomial(cs)
 
     @given(target_systems())
     @settings(max_examples=80, deadline=None)
     def test_target_tables_sum_to_local_factor(self, cs):
-        # at x >= p^(top + 1) the table holds every nonzero g_p, and the sum
-        # of g_p(a) p^(-sum a) is the probability that geometric p-adic
-        # orders meet every condition: the exact local factor at p
-        active = active_of(cs)
-        masks = position_masks(cs, active)
+        # the table at p holds every nonzero g_p, at the patterns v + S, and
+        # the sum of g_p(a) p^(-sum a) is the probability that geometric
+        # p-adic orders meet every condition: the exact local factor at p
         for p in relevant_primes(cs):
-            orders = [padic_order(c.value, p) for c in cs.conditions]
-            top = max(orders)
-            cap = counting._exponent_cap(p, top, p ** (top + 1))
-            assert cap == top + 1
-            exponents, weights = counting._local_patterns(masks, orders, cap, len(active))
-            series = sum(Fraction(g, p**a) for a, g in zip(exponents.sum(axis=1).tolist(), weights))
+            total_v, cores = core_masks(*valuations(cs, p))
+            sets, weights = counting._local_patterns(cores, cs.k)
+            series = sum(Fraction(g, p ** (total_v + s.bit_count())) for s, g in zip(sets.tolist(), weights))
             assert series == local_factor(local_view(cs, p, find_cover(cs)))
+
+    @given(target_systems())
+    @settings(max_examples=80, deadline=None)
+    def test_core_tables_match_dense_grid(self, cs):
+        # the walk's table at p, shifted by v and cut to divisors <= x, is the
+        # finite difference of the local indicator on the grid {0..cap}^k
+        for p in relevant_primes(cs):
+            orders = [trial_order(c.value, p) for c in cs.conditions]
+            top = max(orders)
+            g, v = valuations(cs, p)
+            sets, weights = counting._local_patterns(core_masks(g, v)[1], cs.k)
+            shifted = {
+                tuple(v[i + 1] + (s >> i & 1) for i in range(cs.k)): w for s, w in zip(sets.tolist(), weights)
+            }
+            for x in (1, p, p**top - 1, p**top, p ** (top + 1), p ** (top + 2)):
+                cap = counting._exponent_cap(p, top, x)
+                exponents, grid_weights = naive_local_patterns(list(cs.edge_masks), orders, cap, cs.k)
+                expected = dict(zip(map(tuple, exponents.tolist()), grid_weights))
+                assert {a: w for a, w in shifted.items() if p ** max(a) <= x} == expected
 
     @pytest.mark.parametrize(
         "cs, x, walk",
@@ -220,14 +224,15 @@ class TestWalk:
             (pairwise(5), 10, False),  # most index sets carry a weight
             (pairwise(6, 2), 8, False),
             (path(17), 2, False),  # more than 16 active coordinates
-            (path(13, 2), 4, False),  # the table at p = 2 holds 3^13 entries
+            (path(13, 2), 4, False),  # (cap + 1)^m = 3^13 > _TABLE_LIMIT at p = 2
+            (path(10, 4), 8, True),  # (cap + 1)^m = 4^10 = _TABLE_LIMIT: walked, count 144
+            (path(11, 4), 8, False),  # 4^11 > _TABLE_LIMIT: declined, count 233
         ],
     )
     def test_dispatch_sides_agree_with_scan(self, cs, x, walk):
-        active = active_of(cs)
-        hits = counting._walk(cs, active, x)  # None where the walk declines
+        hits = counting._walk(cs, x)  # None where the walk declines
         assert (hits is not None) is walk
-        expected = counting._scan(cs, active, x)
+        expected = counting._scan(cs, x)
         assert count(cs, x) == expected
         assert hits in (None, expected)
 
@@ -248,7 +253,7 @@ class TestWalk:
         monkeypatch.setattr(counting, "relevant_primes", counted)
         count(cs, x)
         assert calls == [cs]
-        assert (counting._walk(cs, active_of(cs), x) is not None) is walk
+        assert (counting._walk(cs, x) is not None) is walk
 
     # the count-dense benchmark systems without an oracle in the benchmark
     @pytest.mark.parametrize(
@@ -260,8 +265,7 @@ class TestWalk:
         ],
     )
     def test_count_dense_systems_match_scan(self, cs, x, expected):
-        active = active_of(cs)
-        assert counting._walk(cs, active, x) == count(cs, x) == counting._scan(cs, active, x) == expected
+        assert counting._walk(cs, x) == count(cs, x) == counting._scan(cs, x) == expected
 
 
 class TestScan:
@@ -270,10 +274,9 @@ class TestScan:
     @given(prime_power_systems(max_k=5), st.data())
     @settings(max_examples=150, deadline=None)
     def test_matches_naive_enumeration(self, cs, data):
-        # x = 1 and targets above x included; isolated indices add a free factor
+        # x = 1, targets above x and isolated indices included
         x = data.draw(st.integers(1, {2: 12, 3: 12, 4: 8, 5: 5}[cs.k]))
-        active = active_of(cs)
-        assert counting._scan(cs, active, x) * x ** (cs.k - len(active)) == naive_count(cs, x)
+        assert counting._scan(cs, x) == naive_count(cs, x)
 
 
 class TestNymann:

@@ -19,7 +19,7 @@ from gcdcensus import (
     neighbors,
 )
 
-from gcdcensus.model import canonical_witness, position_masks
+from gcdcensus.model import canonical_witness
 
 from helpers import condition_sets, subsets_of
 
@@ -122,18 +122,6 @@ class TestIsolated:
         assert isolated_indices(condition_set(3, {(1, 2): 1})) == {3}
         assert isolated_indices(condition_set(3, {(1, 2): 1, (2, 3): 1})) == frozenset()
         assert isolated_indices(ConditionSet(2)) == {1, 2}
-
-
-class TestPositionMasks:
-    def test_bits_follow_sorted_coordinates(self):
-        cs = condition_set(4, {(1, 2): 1, (2, 3, 4): 1})
-        assert position_masks(cs, [4, 2, 1, 3]) == [0b0011, 0b1110]
-
-    def test_indices_outside_are_dropped(self):
-        # the cover case: a condition keeps only its indices inside the cover
-        cs = condition_set(4, {(1, 2): 1, (2, 3, 4): 1})
-        assert position_masks(cs, [4, 2, 1]) == [0b011, 0b110]
-        assert position_masks(cs, [3]) == [0, 0b1]
 
 
 class TestEnumerateIndependent:
