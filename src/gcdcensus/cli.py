@@ -4,7 +4,8 @@ Subcommands: check, witness, constant, count, verify, factors.  Input is
 a JSON document {"k": int, "conditions": [{"indices": [ints],
 "gcd": int-or-decimal-string}]} with 1-based indices; a path of "-" reads
 standard input.  Text output is line-oriented and stable, with floats
-printed to 12 significant digits; --format json emits one JSON object.
+printed to 12 significant digits; --format json emits one JSON object,
+with null for a non-finite float.
 
 Exit codes: 0 success, 1 inadmissible system, 2 parse or validation
 error, 3 resource limit.
@@ -16,6 +17,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import isfinite
 
 from . import counting, density
 from .admissibility import is_admissible, witness
@@ -29,9 +31,14 @@ def _fmt(v: float) -> str:
 
 
 def _report(args, fields: dict) -> None:
-    """Print `fields` as one JSON object, or as `name value` lines."""
+    """Print `fields` as one JSON object, or as `name value` lines.
+
+    JSON has no infinity or NaN, so a non-finite float is null there; the
+    text lines print it as `inf` or `nan`.
+    """
     if args.format == "json":
-        print(json.dumps(fields))
+        finite = {k: None if isinstance(v, float) and not isfinite(v) else v for k, v in fields.items()}
+        print(json.dumps(finite, allow_nan=False))
         return
     for name, value in fields.items():
         print(f"{name} {_fmt(value) if isinstance(value, float) else value}")

@@ -11,14 +11,16 @@ with g(d) = prod_p g_p(v_p(d)): the Dirichlet-series view of the paper.
 At each prime, `_local_patterns` lists the index sets S where g_p(v + S),
 v the forced orders, is nonzero, from the cores of padic.core_masks that
 the density constant sums too; g_p vanishes at every other pattern.
-`_walk` sums the series prime by prime in ascending order.  It loses to
+`_walk` sums the series prime by prime in ascending order, in pure Python
+with exact ints, so a count it answers loads no numpy.  It loses to
 `_scan`, a depth-first box scan cut wherever a partial gcd already misses
 its target, on dense systems with many active coordinates, so the walk
 declines those (returns None) from the system alone, before it sums
-anything, and `count` then runs the scan.  The tests keep full-box
-enumeration as the oracle for both, the finite difference of delta_p on a
-dense exponent grid for the tables, and `nymann_count`, a Mobius sum, as
-an independent oracle for the fully-coprime system.
+anything, and `count` then runs the scan, which imports numpy.  The tests
+keep full-box enumeration as the oracle for both, the finite difference of
+delta_p on a dense exponent grid and the subset Mobius transform over all
+2^m sets for the tables, and `nymann_count`, a Mobius sum, as an
+independent oracle for the fully-coprime system.
 """
 
 from __future__ import annotations
@@ -35,8 +37,6 @@ from .padic import core_masks, relevant_primes, valuations
 from .primes import mobius_up_to, primes_up_to
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .density import DensityResult
 
 _COUNT_GUARD = 10**10
@@ -149,25 +149,29 @@ def _exponent_cap(p: int, top: int, x: int) -> int:
     return cap
 
 
-def _local_patterns(cores: Iterable[int], m: int) -> tuple[np.ndarray, list[int]]:
-    """The index sets S of [m] with g(S) != 0, as an ascending array of
-    bitmasks, and their weights g(S): the subset Mobius transform of "S
-    holds no whole core", 1 at the empty set.  At a prime with forced orders
-    v and these cores (padic.core_masks), g_p(v + S) = g(S) and g_p vanishes
-    off v + {0,1}^m; at a prime dividing no target, v = 0 and the cores are
-    the condition sets.
+def _local_patterns(cores: Iterable[int]) -> tuple[list[int], list[int]]:
+    """The index sets S with g(S) != 0, as ascending bitmasks, and their
+    weights g(S): the Mobius inversion of "S holds no whole core" on the
+    Boolean lattice (Rota 1964), 1 at the empty set.  At a prime with forced
+    orders v and these cores (padic.core_masks), g_p(v + S) = g(S) and g_p
+    vanishes off v + {0,1}^m; at a prime dividing no target, v = 0 and the
+    cores are the condition sets.
+
+    Only the minimal cores matter, and g(S) is the sum of (-1)^|F| over the
+    families F of them whose union is S: one pass over the nonzero weights
+    per core, which stay on the unions of cores.
     """
-    import numpy as np
-    sets = np.arange(1 << m)
-    free = np.ones(1 << m, dtype=bool)
+    cores = set(cores)
+    weights = {0: 1}
+    get = weights.get
     for core in cores:
-        free &= sets & core != core
-    g = free.astype(np.int64)
-    for i in range(m):
-        steps = g.reshape(-1, 2, 1 << i)  # axis 1 is bit i
-        steps[:, 1] -= steps[:, 0]
-    where = np.flatnonzero(g)
-    return where, g[where].tolist()
+        if any(c != core and c & core == c for c in cores):
+            continue  # holding core means holding a smaller one
+        for s, w in zip(list(weights), list(weights.values())):  # no tuple per entry kept
+            u = s | core
+            weights[u] = get(u, 0) - w
+    sets = sorted(filter(get, weights))
+    return sets, list(map(weights.__getitem__, sets))
 
 
 def _walk(sub: ConditionSet, x: int) -> int | None:
@@ -185,11 +189,16 @@ def _walk(sub: ConditionSet, x: int) -> int | None:
     a divisor vector p^(v_i + S_i) that merges the partial products into
     distinct quotient vectors y = floor(x / d), rows with a divisor above y
     dropped; every other prime then multiplies some dependent S by p, in
-    ascending order.  A node sums its children's terms over a numpy array
-    of primes at once and recurses only into children where a further
-    prime still fits.
+    ascending order.  At a node, one bitmask test per pattern keeps those
+    whose indices all still hold the next prime.  For each, the node takes
+    primes one at a time, recursing into each child, while a further prime
+    can still fit a minimal condition set (every S with g(S) != 0 contains
+    one).  It sums the remaining primes up to the pattern's limit min y_i
+    one at a time below about 4 sqrt(y), where runs are short, and above
+    that over runs of equal quotients floor(y_i / q), counting each run's
+    primes by bisection (Deleglise and Rivat 1996): O(sqrt(y)) steps, not
+    pi(y).  Every term is an exact Python int.
     """
-    import numpy as np
     m = sub.k
     if m > _WALK_MAX_ACTIVE:
         return None
@@ -200,62 +209,77 @@ def _walk(sub: ConditionSet, x: int) -> int | None:
         if (_exponent_cap(p, max(forced.values()), x) + 1) ** m > _TABLE_LIMIT:
             return None
         targets.append((p, forced, core_masks(orders, forced)[1]))
-    sets, set_weights = _local_patterns(sub.edge_masks, m)
+    sets, set_weights = _local_patterns(sub.edge_masks)
     if m > 4 and 2 * len(set_weights) > 1 << m:
         return None
 
     nodes = {(x,) * m: 1}
     for p, forced, cores in targets:
         low = [p ** forced[i] for i in range(1, m + 1)]
-        fits = sum(1 << i for i, d in enumerate(low) if d * p <= x)  # a row raising any other index exceeds x
-        rows, weights = _local_patterns(cores, m)
+        # a row raising an index outside fits exceeds x, and only the cores
+        # inside fits decide g on the other rows
+        fits = sum(1 << i for i, d in enumerate(low) if d * p <= x)
         table = [
             (tuple(d * p if s >> i & 1 else d for i, d in enumerate(low)), g)
-            for s, g in zip(rows.tolist(), weights)
-            if not s & ~fits
+            for s, g in zip(*_local_patterns(c for c in cores if not c & ~fits))
         ]
         merged: dict[tuple[int, ...], int] = {}
         for y, w in nodes.items():
             for divisors, g in table:
-                if all(d <= v for d, v in zip(divisors, y)):
-                    child = tuple(v // d for v, d in zip(y, divisors))
+                if all(map(operator.le, divisors, y)):
+                    child = tuple(map(operator.floordiv, y, divisors))
                     merged[child] = merged.get(child, 0) + w * g
         nodes = {y: w for y, w in merged.items() if w}
 
-    members = (sets[1:, None] >> np.arange(m) & 1).astype(bool)  # the empty set is the node itself
-    pattern_weights = set_weights[1:]
-    # every S with g(S) != 0 contains a condition set holding no other, so a
-    # further prime fits exactly when it fits all of one such set
     masks = sub.edge_masks
-    minimal = [e for e in set(masks) if not any(f != e and f & e == f for f in masks)]
-    edges = [[i for i in range(m) if e >> i & 1] for e in minimal]
-    width = max(map(len, edges))
-    edges = np.array([e + e[:1] * (width - len(e)) for e in edges])  # min ignores the repeats
-    ps = primes_up_to(x)
-    ps = np.append(ps[~np.isin(ps, special)], x + 1)  # x + 1 never fits
-    ps_list = ps.tolist()
+    minimal = {e for e in masks if not any(f != e and f & e == f for f in masks)}
+    edges = [operator.itemgetter(*(i for i in range(m) if e >> i & 1)) for e in minimal]  # two or more each
+    members: dict[int, list[int]] = {}  # filled as patterns first go live
+    skip = set(special)
+    ps = [p for p in primes_up_to(x) if p not in skip]
+    ps.append(x + 1)  # never fits
+    patterns = list(zip(sets[1:], set_weights[1:]))  # the empty set is the node itself
 
-    def below(y: list[int], w: int, start: int) -> int:
-        # the terms of every node reached from y by primes >= ps[start]
-        ya = np.array(y, dtype=np.int64)
-        limits = np.where(members, ya, x + 1).min(axis=1)
-        live = np.flatnonzero(limits >= ps_list[start])
-        if not live.size:
+    def below(y: list[int], w: int, start: int, patterns: list[tuple[int, int]]) -> int:
+        # the terms of every node reached from y by primes >= ps[start]; a
+        # pattern not live at the parent is not live here
+        q = ps[start]
+        big = sum(1 << i for i, v in enumerate(y) if v >= q)
+        if not big:
             return 0
-        stop = bisect_right(ps_list, int(limits[live].max()), start)
-        qs = ps[start:stop]
-        z = np.where(members[live][:, :, None], ya[:, None] // qs, ya[:, None])
-        terms = z.prod(axis=1)  # at most x^m <= x^k <= _COUNT_GUARD < 2^63: exact in int64
-        sums = terms.sum(axis=1).tolist()
-        total = w * sum(pattern_weights[s] * t for s, t in zip(live.tolist(), sums))
-        fits = z[:, edges, :].min(axis=2).max(axis=1)
-        deeper = (terms > 0) & (fits >= ps[start + 1 : stop + 1])
-        for a, j in zip(*np.nonzero(deeper)):
-            s = int(live[a])
-            total += below(z[a, :, j].tolist(), w * pattern_weights[s], start + int(j) + 1)
-        return total
+        live = [(s, g) for s, g in patterns if s & big == s]
+        terms, total, whole = 0, 0, prod(y)
+        for s, g in live:
+            inside = members.get(s) or members.setdefault(s, [i for i in range(m) if s >> i & 1])
+            ys = [y[i] for i in inside]
+            limit = min(ys)
+            j, q = start, ps[start]
+            while q <= limit:  # one prime at a time while a child can take a further prime
+                z = y.copy()
+                for i in inside:
+                    z[i] //= q
+                if not any(min(e(z)) >= ps[j + 1] for e in edges):
+                    break
+                terms += g * prod(z)
+                total += below(z, w * g, j + 1, live)
+                j += 1
+                q = ps[j]
+            rest = g * whole // prod(ys)
+            top = 16 * max(ys)
+            while q <= limit and q * q <= top:  # runs below 4 sqrt(y) hold a prime or two: one at a time
+                terms += rest * prod([v // q for v in ys])
+                j += 1
+                q = ps[j]
+            while q <= limit:  # runs of primes with equal quotients
+                quotients = [v // q for v in ys]
+                last = min(map(operator.floordiv, ys, quotients))
+                k = bisect_right(ps, last, j)
+                terms += rest * prod(quotients) * (k - j)
+                j = k
+                q = ps[j]
+        return w * terms + total
 
-    return sum(w * prod(y) + below(list(y), w, 0) for y, w in nodes.items())
+    return sum(w * prod(y) + below(list(y), w, 0, patterns) for y, w in nodes.items())
 
 
 def nymann_count(k: int, x: int) -> int:

@@ -1,19 +1,23 @@
 """Prime machinery: sieves, deterministic primality, integer factorization.
 
-Everything here is exact.  The Euler product in `density` consumes millions
-of primes from a numpy segmented sieve over odd numbers, 3-13 presieved
-(Bays & Hudson, BIT 1977), which imports numpy on first use.  `trial_divisors`
-walks its primes below 10^6 for factorization and for the inadmissibility
-diagnostic, which trial-divides the quotients' lcm before it factors anything.
-A cofactor left over gets a deterministic Miller-Rabin test, then Brent's
-variant of Pollard's rho; a target rho cannot split within its step budget
-(_RHO_STEPS up to 128 bits, then divided by bits/128, and above 1024 bits
-also by bits/1024) is refused with ResourceLimitError.
+Everything here is exact.  `primes_up_to` is a stdlib sieve over the odd
+numbers, for the count's walk, the Mobius sieve and factorization.  The
+Euler product in `density` consumes millions of primes from a numpy
+segmented sieve over odd numbers, 3-13 presieved (Bays & Hudson, BIT 1977),
+which imports numpy on first use.  `trial_divisors` yields the primes below
+10^6 for factorization and for the inadmissibility diagnostic, which
+trial-divides the quotients' lcm before it factors anything; it sieves past
+1000 only if its caller asks for more.  A cofactor left over gets a
+deterministic Miller-Rabin test, then Brent's variant of Pollard's rho; a
+target rho cannot split within its step budget (_RHO_STEPS up to 128 bits,
+then divided by bits/128, and above 1024 bits also by bits/1024) is refused
+with ResourceLimitError.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from itertools import compress
 from math import gcd, isqrt
 from typing import TYPE_CHECKING, Iterator
 
@@ -24,6 +28,8 @@ if TYPE_CHECKING:
 
 # Trial division handles every factor below this; rho only sees larger ones.
 _TRIAL_LIMIT = 10**6
+# trial_divisors sieves to this first, and to _TRIAL_LIMIT only if asked.
+_FIRST_TRIAL = 1000
 
 # Iterations of x -> x^2 + c one rho search may spend, retries included: about
 # 1.5-3 s up to 128 bits, typically enough to split off a prime factor below
@@ -52,10 +58,18 @@ def _wheel() -> tuple[np.ndarray, np.ndarray]:
     return small, wheel
 
 
-def primes_up_to(n: int) -> np.ndarray:
-    """All primes <= n as one int64 array."""
-    import numpy as np
-    return np.concatenate([np.empty(0, dtype=np.int64), *_segments(n)])
+def primes_up_to(n: int) -> list[int]:
+    """All primes <= n, ascending, from a bytearray sieve over the odd numbers."""
+    if n < 2:
+        return []
+    odd = bytearray([1]) * ((n + 1) // 2)  # slot j flags 2j + 1
+    odd[0] = 0
+    for j in range(1, (isqrt(n) + 1) // 2):
+        if odd[j]:
+            p = 2 * j + 1
+            first = p * p // 2
+            odd[first::p] = bytes((len(odd) - 1 - first) // p + 1)
+    return [2, *compress(range(1, n + 1, 2), odd)]
 
 
 def prime_blocks(limit: int) -> Iterator[np.ndarray]:
@@ -65,7 +79,13 @@ def prime_blocks(limit: int) -> Iterator[np.ndarray]:
     lo = isqrt(limit) + 1 + j*_BLOCK_SIZE: fixed blocks, so block-wise
     reductions are reproducible, in O(_BLOCK_SIZE + sqrt(limit)) memory.
     """
-    return _segments(limit)
+    plan = SievePlan(limit)
+    if plan.base.size:
+        yield plan.base
+    for lo in plan.starts:
+        primes = sieve_segment(plan, lo)
+        if primes.size:
+            yield primes
 
 
 class SievePlan:
@@ -81,7 +101,7 @@ class SievePlan:
         small, wheel = _wheel()
         root = isqrt(max(limit, 0))
         self.limit = limit
-        self.base = primes_up_to(root) if root >= 2 else small[:0]  # recursion ends below 4
+        self.base = np.array(primes_up_to(root), dtype=np.int64)
         self.starts = range(root + 1, limit + 1, _BLOCK_SIZE)
         self.sieving = self.base[self.base > small[-1]]
         self.half = (self.sieving - 1) // 2
@@ -110,17 +130,6 @@ def sieve_segment(plan: SievePlan, lo: int) -> np.ndarray:
     if lo < 17:  # 2 and the wheel primes are not in the pattern
         primes = np.concatenate([small[(lo <= small) & (small < hi)], primes])
     return primes
-
-
-def _segments(limit: int) -> Iterator[np.ndarray]:
-    # Base primes recurse through primes_up_to, so prime_blocks sees top-level calls only.
-    plan = SievePlan(limit)
-    if plan.base.size:
-        yield plan.base
-    for lo in plan.starts:
-        primes = sieve_segment(plan, lo)
-        if primes.size:
-            yield primes
 
 
 def is_prime(n: int) -> bool:
@@ -192,9 +201,13 @@ def _brent_rho(n: int, target_bits: int) -> int:
 
 
 def trial_divisors(n: int) -> Iterator[int]:
-    """The primes p <= _TRIAL_LIMIT with p * p <= n, ascending, sieved lazily."""
-    for block in _segments(min(isqrt(n), _TRIAL_LIMIT)):
-        yield from block.tolist()
+    """The primes p <= _TRIAL_LIMIT with p * p <= n, ascending, sieved lazily:
+    those up to _FIRST_TRIAL first, the rest only once the caller asks."""
+    root = min(isqrt(n), _TRIAL_LIMIT)
+    first = primes_up_to(min(root, _FIRST_TRIAL))
+    yield from first
+    if root > _FIRST_TRIAL:
+        yield from primes_up_to(root)[len(first) :]
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -237,7 +250,7 @@ def mobius_up_to(n: int) -> np.ndarray:
     mu = np.ones(n + 1, dtype=np.int8)
     mu[0] = 0
     rest = np.arange(n + 1, dtype=np.min_scalar_type(n))
-    for p in primes_up_to(isqrt(n)).tolist():
+    for p in primes_up_to(isqrt(n)):
         mu[p::p] *= -1
         rest[p::p] //= p
         mu[p * p :: p * p] = 0

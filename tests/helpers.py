@@ -5,7 +5,8 @@ paths: the enumeration oracle walks tuples with itertools and math.gcd,
 the admissibility and witness oracles apply the criterion prime by prime
 with primes and valuations found by trial division, the local-factor
 oracle sums capped geometric valuation probabilities directly, the
-local-pattern oracle takes finite differences on a dense exponent grid,
+local-pattern oracles take finite differences on a dense exponent grid
+and the subset Mobius transform over all 2^m index sets,
 the subset-sum oracles walk every independent subset one by one, the
 Euler-product oracle evaluates the polynomial with np.polyval and sums
 each sieve block with math.fsum, and the Mobius oracle factors by trial
@@ -74,6 +75,22 @@ def naive_local_patterns(
         steps[:, 1:] -= steps[:, :-1]  # numpy buffers the overlap
     where = np.flatnonzero(g)
     return np.stack([a[where] for a in digits], axis=1), g[where].tolist()
+
+
+def dense_local_patterns(cores, m: int) -> tuple[list[int], list[int]]:
+    """The index sets S of [m] with g(S) != 0, ascending as bitmasks, and
+    their weights, by the subset Mobius transform of "S holds no whole core"
+    over all 2^m sets: one numpy pass per bit, every core used."""
+    sets = np.arange(1 << m)
+    free = np.ones(1 << m, dtype=bool)
+    for core in cores:
+        free &= sets & core != core
+    g = free.astype(np.int64)
+    for i in range(m):
+        steps = g.reshape(-1, 2, 1 << i)  # axis 1 is bit i
+        steps[:, 1] -= steps[:, 0]
+    where = np.flatnonzero(g)
+    return where.tolist(), g[where].tolist()
 
 
 def naive_first(cs: ConditionSet, bound: int):

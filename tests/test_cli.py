@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from itertools import combinations
 
 import pytest
 
@@ -120,34 +121,56 @@ class TestCheck:
         assert main(["check", str(tmp_path / "absent.json")]) == 2
 
     def test_cheap_paths_load_no_numpy(self, write_doc, tmp_path):
-        # a fresh interpreter: numpy loads only once a kernel runs, yet
-        # importing the cli still loads every package module
+        # a fresh interpreter: numpy loads only once the Euler product or the
+        # box scan runs, yet importing the cli still loads every package module
         broken = tmp_path / "broken.json"
         broken.write_text('{"k": ')
+        # the violated quotients' lcm is 4, so the diagnostic trial-divides it
+        bad = {"k": 3, "conditions": [{"indices": [1, 2], "gcd": 1}, {"indices": [1, 2, 3], "gcd": 4}]}
+        pairs = {"k": 5, "conditions": [{"indices": list(e), "gcd": 1} for e in combinations(range(1, 6), 2)]}
         script = """
-import sys
+import contextlib, io, sys
 from gcdcensus.cli import main
-good, broken = sys.argv[1:]
+from gcdcensus.primes import factorize
+good, broken, bad, pairs = sys.argv[1:]
 codes = [main(["check", good]), main(["witness", good]), main(["check", broken])]
 codes.append(main(["count", good, "--limit", "2155"]))
 try:
     main(["constant", good, "--cover", "1"])
 except SystemExit as exc:
     codes.append(exc.code)
+codes.append(main(["count", good, "--limit", "1000"]))  # the walk
+codes.append(main(["check", bad]))
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(main(["factors", good]))  # factors the targets, sums the local factors
+print(factorize(6 * 1000000000039))  # trial division to 10^6, then Miller-Rabin
 assert "numpy" not in sys.modules, codes
 print(codes, sorted(m for m in sys.modules if m.startswith("gcdcensus.")))
-main(["count", good, "--limit", "1000"])
+main(["count", pairs, "--limit", "10"])  # the box scan
+assert "numpy" in sys.modules
 """
         src = os.path.dirname(os.path.dirname(gcdcensus.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "PYTHONPATH": path}
-        argv = [sys.executable, "-c", script, write_doc(GOOD), str(broken)]
+        docs = [write_doc(GOOD), str(broken), write_doc(bad, "bad.json"), write_doc(pairs, "pairs.json")]
+        argv = [sys.executable, "-c", script, *docs]
         run = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
         assert run.returncode == 0, run.stderr
         names = "admissibility cli counting density errors model padic primes".split()
         modules = [f"gcdcensus.{m}" for m in names]
-        assert run.stdout.splitlines()[:3] == ["admissible", "6 30 10", f"[0, 0, 2, 3, 2] {modules}"]
-        assert "count 145144" in run.stdout.splitlines()
+        assert run.stdout.splitlines() == [
+            "admissible",
+            "6 30 10",
+            "x 1000",
+            "count 145144",
+            "density 0.000145144",
+            "inadmissible: p=2, T={1,2}",
+            "{2: 1, 3: 1, 1000000000039: 1}",
+            f"[0, 0, 2, 3, 2, 0, 1, 0] {modules}",
+            "x 10",
+            "count 2406",
+            "density 0.02406",
+        ]
 
     def test_unfactorable_target_is_resource_exit(self, write_doc, capsys):
         # two primes just below 2^64: Pollard's rho would need about 2^32 steps
@@ -387,6 +410,20 @@ class TestCountVerify:
         doc = json.loads(capsys.readouterr().out)
         assert [line.split(" ", 1)[0] for line in lines] == list(doc)
         assert lines[1] == f"count {doc['count']}"
+
+    def test_verify_json_is_strict_at_x_one(self, write_doc, capsys):
+        # at x = 1 both normalized errors are infinite, which JSON cannot hold
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        argv = ["verify", write_doc(PAIR2), "--limit", "1", "--prime-bound", "1000"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert main([*argv, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert doc["normalized_error"] is None and doc["sharper_normalized_error"] is None
+        assert doc["count"] == 1 and doc["gap"] > 0
+        assert lines[5] == "normalized_error inf" and lines[7] == "sharper_normalized_error inf"
 
     def test_verify_informational_exit(self, write_doc):
         assert main(["verify", write_doc(PAIR2), "--limit", "10", "--prime-bound", "1000"]) == 0

@@ -22,7 +22,14 @@ from gcdcensus import FactorPolynomial, counting, find_cover, generic_factor_pol
 from gcdcensus import local_factor, local_view, relevant_primes
 from gcdcensus.padic import core_masks, valuations
 
-from helpers import condition_sets, naive_count, naive_local_patterns, trial_mobius, trial_order
+from helpers import (
+    condition_sets,
+    dense_local_patterns,
+    naive_count,
+    naive_local_patterns,
+    trial_mobius,
+    trial_order,
+)
 
 
 def mobius_count_oracle(k: int, x: int) -> int:
@@ -35,6 +42,10 @@ def pairwise(k: int, target: int = 1) -> ConditionSet:
 
 def path(k: int, target: int = 1) -> ConditionSet:
     return condition_set(k, {(i, i + 1): target for i in range(1, k)})
+
+
+def star(k: int, target: int = 1) -> ConditionSet:
+    return condition_set(k, {(1, i): target for i in range(2, k + 1)})
 
 
 @st.composite
@@ -175,13 +186,49 @@ class TestWalk:
     def test_generic_weights_sum_to_factor_polynomial(self, cs):
         # sum of g(S) over |S| = j is c_j: both are the local factor at a
         # prime dividing no target, as a polynomial in 1/p
-        sets, weights = counting._local_patterns(cs.edge_masks, cs.k)
-        sets = sets.tolist()
+        sets, weights = counting._local_patterns(cs.edge_masks)
         assert sets[0] == 0 and sets == sorted(set(sets))  # the walk relies on the order
         by_size = [0] * (cs.k + 1)
         for s, g in zip(sets, weights):
             by_size[s.bit_count()] += g
         assert FactorPolynomial(tuple(by_size)) == generic_factor_polynomial(cs)
+
+    @pytest.mark.parametrize("cs", [path(16), pairwise(8), star(12)], ids=["path16", "pairwise8", "star12"])
+    def test_patterns_match_dense_transform(self, cs):
+        assert counting._local_patterns(cs.edge_masks) == dense_local_patterns(cs.edge_masks, cs.k)
+
+    @given(condition_sets(max_k=8, allow_empty=False), target_systems())
+    @settings(max_examples=80, deadline=None)
+    def test_patterns_match_dense_transform_on_random_cores(self, generic, targets):
+        # generic cores are the condition sets; target-prime cores hold
+        # pinned indices as singletons and may nest
+        assert counting._local_patterns(generic.edge_masks) == dense_local_patterns(generic.edge_masks, generic.k)
+        for p in relevant_primes(targets):
+            cores = core_masks(*valuations(targets, p))[1]
+            assert counting._local_patterns(cores) == dense_local_patterns(cores, targets.k)
+
+    @given(st.integers(1, 10).flatmap(lambda m: st.tuples(st.just(m), st.lists(st.integers(0, (1 << m) - 1)))))
+    @settings(max_examples=80, deadline=None)
+    def test_patterns_match_dense_transform_on_any_masks(self, case):
+        # repeated, nested, singleton and empty cores included
+        m, cores = case
+        assert counting._local_patterns(cores) == dense_local_patterns(cores, m)
+
+    @pytest.mark.parametrize("k, x", [(2, 10**5), (3, 2000)])
+    def test_long_prime_runs_match_nymann(self, k, x):
+        # a node sums its primes above about sqrt(y) over runs of equal quotients
+        cs = condition_set(k, {tuple(range(1, k + 1)): 1})
+        assert counting._walk(cs, x) == nymann_count(k, x)
+
+    @pytest.mark.parametrize(
+        "cs, x",
+        [
+            (condition_set(3, {(1, 2): 6, (2, 3): 10}), 1000),  # runs over quotients of unequal y_i
+            (condition_set(4, {(1, 2): 2, (3, 4): 3}), 60),  # a disjoint pair still fits after every prime
+        ],
+    )
+    def test_uneven_prime_runs_match_scan(self, cs, x):
+        assert counting._walk(cs, x) == counting._scan(cs, x)
 
     @given(target_systems())
     @settings(max_examples=80, deadline=None)
@@ -191,8 +238,8 @@ class TestWalk:
         # p-adic orders meet every condition: the exact local factor at p
         for p in relevant_primes(cs):
             total_v, cores = core_masks(*valuations(cs, p))
-            sets, weights = counting._local_patterns(cores, cs.k)
-            series = sum(Fraction(g, p ** (total_v + s.bit_count())) for s, g in zip(sets.tolist(), weights))
+            sets, weights = counting._local_patterns(cores)
+            series = sum(Fraction(g, p ** (total_v + s.bit_count())) for s, g in zip(sets, weights))
             assert series == local_factor(local_view(cs, p, find_cover(cs)))
 
     @given(target_systems())
@@ -204,10 +251,8 @@ class TestWalk:
             orders = [trial_order(c.value, p) for c in cs.conditions]
             top = max(orders)
             g, v = valuations(cs, p)
-            sets, weights = counting._local_patterns(core_masks(g, v)[1], cs.k)
-            shifted = {
-                tuple(v[i + 1] + (s >> i & 1) for i in range(cs.k)): w for s, w in zip(sets.tolist(), weights)
-            }
+            sets, weights = counting._local_patterns(core_masks(g, v)[1])
+            shifted = {tuple(v[i + 1] + (s >> i & 1) for i in range(cs.k)): w for s, w in zip(sets, weights)}
             for x in (1, p, p**top - 1, p**top, p ** (top + 1), p ** (top + 2)):
                 cap = counting._exponent_cap(p, top, x)
                 exponents, grid_weights = naive_local_patterns(list(cs.edge_masks), orders, cap, cs.k)

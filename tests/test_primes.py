@@ -1,4 +1,4 @@
-"""The prime sieve: one segmented sieve behind both entry points."""
+"""The prime sieves: the stdlib sieve, and the numpy segmented sieve checked against it."""
 
 from math import isqrt, prod
 
@@ -12,8 +12,8 @@ from gcdcensus.primes import factorize, is_prime, mobius_up_to, prime_blocks, pr
 
 from helpers import trial_mobius
 
-SMALL = primes_up_to(1000).tolist()
-ABOVE_TRIAL_LIMIT = [p for p in primes_up_to(10**6 + 1000).tolist() if p > 10**6]
+SMALL = primes_up_to(1000)
+ABOVE_TRIAL_LIMIT = [p for p in primes_up_to(10**6 + 1000) if p > 10**6]
 
 
 def trial_primes(n: int) -> list[int]:
@@ -70,6 +70,24 @@ def test_factorize_at_the_trial_division_edges(n):
     assert factorize(n) == trial_factorization(n)
 
 
+def test_trial_divisors_sieve_past_the_first_stage_only_on_demand(monkeypatch):
+    bounds = []
+
+    def recorded(n):
+        bounds.append(n)
+        return primes_up_to(n)
+
+    monkeypatch.setattr(primes, "primes_up_to", recorded)
+    # a smooth target far above 10^12 is done after the primes up to 5
+    assert factorize(3 * 2**60) == {2: 60, 3: 1}
+    assert bounds == [primes._FIRST_TRIAL]
+    # a prime cofactor above 10^12 is trial-divided by every prime below 10^6
+    bounds.clear()
+    assert factorize(6 * 1000000000039) == {2: 1, 3: 1, 1000000000039: 1}
+    assert bounds == [primes._FIRST_TRIAL, primes._TRIAL_LIMIT]
+    assert list(primes.trial_divisors(10**13)) == primes_up_to(10**6)
+
+
 def test_factorize_splits_a_32_bit_prime_off_a_1024_bit_target():
     # rho needs about 131,000 steps of budget here: more than a budget shrunk
     # by (bits/128)^2 allows at 1024 bits (65,536), less than one shrunk by
@@ -106,8 +124,8 @@ def test_mobius_matches_trial_division():
 def test_primes_up_to_matches_trial_division():
     for n in range(401):
         got = primes_up_to(n)
-        assert got.dtype == np.int64
-        assert got.tolist() == trial_primes(n)
+        assert type(got) is list and all(type(p) is int for p in got)
+        assert got == trial_primes(n)
 
 
 def test_blocks_concatenate_to_the_primes(monkeypatch):
@@ -132,11 +150,12 @@ def test_plan_segments_concatenate_to_the_primes(monkeypatch, block):
         assert plan.starts == range(isqrt(limit) + 1, limit + 1, primes._BLOCK_SIZE)
         segments = [primes.sieve_segment(plan, lo) for lo in reversed(plan.starts)][::-1]
         assert all(s.dtype == np.int64 for s in segments)
-        assert np.concatenate([plan.base, *segments]).tolist() == primes_up_to(limit).tolist()
+        # the stdlib sieve shares no code with the segments
+        assert np.concatenate([plan.base, *segments]).tolist() == primes_up_to(limit)
 
 
 def test_prime_count_to_ten_million():
-    assert primes_up_to(10**7).size == 664_579
+    assert len(primes_up_to(10**7)) == 664_579
 
 
 def test_segments_sit_on_the_fixed_grid():
