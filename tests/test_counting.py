@@ -202,12 +202,13 @@ class TestWalk:
     def test_patterns_match_dense_transform_on_random_cores(self, generic, targets):
         # generic cores are the condition sets; target-prime cores hold
         # pinned indices as singletons and may nest
-        assert counting._local_patterns(generic.edge_masks) == dense_local_patterns(generic.edge_masks, generic.k)
+        masks = generic.edge_masks
+        assert counting._local_patterns(masks) == dense_local_patterns(masks, generic.k)
         for p in relevant_primes(targets):
             cores = core_masks(*valuations(targets, p))[1]
             assert counting._local_patterns(cores) == dense_local_patterns(cores, targets.k)
 
-    @given(st.integers(1, 10).flatmap(lambda m: st.tuples(st.just(m), st.lists(st.integers(0, (1 << m) - 1)))))
+    @given(st.integers(1, 10).flatmap(lambda m: st.tuples(st.just(m), st.lists(st.integers(0, 2**m - 1)))))
     @settings(max_examples=80, deadline=None)
     def test_patterns_match_dense_transform_on_any_masks(self, case):
         # repeated, nested, singleton and empty cores included
