@@ -4,69 +4,61 @@ Decide whether a system of conditions of the form
 gcd{n_i : i in T} == f(T) has any solution, construct the canonical
 witness, count solutions in a box exactly, and evaluate the asymptotic
 density constant as an Euler product with a certified truncation error.
+
+Importing the package runs none of its modules.  Each is registered in
+sys.modules through importlib.util.LazyLoader and runs on first attribute
+access, so a command runs only the modules it uses; the public names
+below resolve on first use through the module's __getattr__ (PEP 562).
 """
 
-from .admissibility import AdmissibilityReport, brute_force_find, is_admissible, witness
-from .counting import CountReport, convergence_table, count, empirical_report, nymann_count
-from .density import (
-    DensityResult,
-    FactorPolynomial,
-    constant,
-    generic_factor_polynomial,
-    local_factor,
-    rwise_constant,
-    toth_pairwise_constant,
-)
-from .errors import CutoffTooSmallError, InadmissibleError, ResourceLimitError
-from .model import (
-    Condition,
-    ConditionSet,
-    condition_set,
-    delta,
-    enumerate_independent_subsets,
-    find_cover,
-    is_cover,
-    is_independent,
-    isolated_indices,
-    neighbors,
-)
-from .padic import LocalView, local_view, relevant_primes, valuations, z_set
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdmissibilityReport",
-    "Condition",
-    "ConditionSet",
-    "CountReport",
-    "CutoffTooSmallError",
-    "DensityResult",
-    "FactorPolynomial",
-    "InadmissibleError",
-    "LocalView",
-    "ResourceLimitError",
-    "brute_force_find",
-    "condition_set",
-    "constant",
-    "convergence_table",
-    "count",
-    "delta",
-    "empirical_report",
-    "enumerate_independent_subsets",
-    "find_cover",
-    "generic_factor_polynomial",
-    "is_admissible",
-    "is_cover",
-    "is_independent",
-    "isolated_indices",
-    "local_factor",
-    "local_view",
-    "neighbors",
-    "nymann_count",
-    "relevant_primes",
-    "rwise_constant",
-    "toth_pairwise_constant",
-    "valuations",
-    "witness",
-    "z_set",
-]
+# module -> the public names it defines
+_EXPORTS = {
+    "admissibility": "AdmissibilityReport brute_force_find is_admissible witness",
+    "counting": "CountReport convergence_table count empirical_report nymann_count",
+    "density": "DensityResult FactorPolynomial constant generic_factor_polynomial local_factor"
+    " rwise_constant toth_pairwise_constant",
+    "errors": "CutoffTooSmallError InadmissibleError ResourceLimitError",
+    "model": "Condition ConditionSet condition_set delta enumerate_independent_subsets find_cover"
+    " is_cover is_independent isolated_indices neighbors",
+    "padic": "LocalView local_view relevant_primes valuations z_set",
+    "primes": "",
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_OWNER)
+
+
+def _register(name: str) -> None:
+    """Put gcdcensus.<module> in sys.modules and here, its code not yet run.
+
+    The cli is left out: `python -m gcdcensus.cli` warns when it finds its
+    module already in sys.modules.  Python 3.11's lazy modules take no lock
+    when they run, so a module a worker thread uses must have run before
+    the thread starts.
+    """
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = globals()[name] = module
+    spec.loader.exec_module(module)
+
+
+for _name in _EXPORTS:
+    _register(_name)
+del _name
+
+
+def __getattr__(name: str):
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(globals()[_OWNER[name]], name)  # later lookups skip this
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -10,16 +10,14 @@ the lcm of the q_T, or, if that finds none, from factoring parts of targets.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from math import gcd, lcm
 
 from .errors import InadmissibleError
-from .model import ConditionSet, canonical_witness, delta
+from .model import ConditionSet, Record, canonical_witness, delta
 from .primes import factorize, trial_divisors
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(Record):
     """Decision plus, on failure, the first violating (prime, index set)."""
 
     admissible: bool

@@ -16,14 +16,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from math import isfinite
+from typing import TYPE_CHECKING
 
-from . import counting, density
-from .admissibility import is_admissible, witness
+from . import admissibility, counting, density, model, padic
 from .errors import CutoffTooSmallError, InadmissibleError, ResourceLimitError
-from .model import Condition, ConditionSet, find_cover
-from .padic import local_view, relevant_primes
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _fmt(v: float) -> str:
@@ -48,7 +48,7 @@ def _fmt_indices(indices) -> str:
     return "{" + ",".join(str(i) for i in sorted(indices)) + "}"
 
 
-def parse_document(text: str) -> ConditionSet:
+def parse_document(text: str) -> model.ConditionSet:
     """Parse a condition-system document, anchoring errors to fields."""
     try:
         doc = json.loads(text)
@@ -92,16 +92,16 @@ def parse_document(text: str) -> ConditionSet:
         elif isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"{where}.gcd: expected an integer or digit string, got {value!r}")
         try:
-            conds.append(Condition(frozenset(indices), value))
+            conds.append(model.Condition(frozenset(indices), value))
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}")
     try:
-        return ConditionSet(k, tuple(conds))
+        return model.ConditionSet(k, tuple(conds))
     except ValueError as exc:
         raise ValueError(f"invalid condition system: {exc}")
 
 
-def document_dict(cs: ConditionSet) -> dict:
+def document_dict(cs: model.ConditionSet) -> dict:
     """The JSON form of a condition system; reparsing gives an equal system."""
     return {
         "k": cs.k,
@@ -109,7 +109,7 @@ def document_dict(cs: ConditionSet) -> dict:
     }
 
 
-def _load(path: str) -> ConditionSet:
+def _load(path: str) -> model.ConditionSet:
     if path == "-":
         return parse_document(sys.stdin.read())
     with open(path, "r", encoding="utf-8") as fh:
@@ -125,9 +125,14 @@ def _parse_ints(raw: str | None, flag: str):
         raise ValueError(f"{flag}: expected comma-separated integers, got {raw!r}")
 
 
+def _prime_bound(args) -> int:
+    # resolved here, not as the option's default, so building the parser runs no density
+    return density.DEFAULT_PRIME_CUTOFF if args.prime_bound is None else args.prime_bound
+
+
 def _cmd_check(args) -> int:
     cs = _load(args.file)
-    report = is_admissible(cs)
+    report = admissibility.is_admissible(cs)
     if report:
         print("admissible")
         return 0
@@ -138,13 +143,13 @@ def _cmd_check(args) -> int:
 
 def _cmd_witness(args) -> int:
     cs = _load(args.file)
-    print(" ".join(str(n) for n in witness(cs)))
+    print(" ".join(str(n) for n in admissibility.witness(cs)))
     return 0
 
 
 def _cmd_constant(args) -> int:
     cs = _load(args.file)
-    result = density.constant(cs, prime_cutoff=args.prime_bound)
+    result = density.constant(cs, prime_cutoff=_prime_bound(args))
     fields = {
         "value": result.value,
         "lower": result.lower,
@@ -174,7 +179,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_verify(args) -> int:
     cs = _load(args.file)
-    result = density.constant(cs, prime_cutoff=args.prime_bound)
+    result = density.constant(cs, prime_cutoff=_prime_bound(args))
     report = counting.empirical_report(cs, args.limit, result)
     _report(
         args,
@@ -211,12 +216,12 @@ def _view_json(view, factor: Fraction) -> dict:
 
 def _cmd_factors(args) -> int:
     cs = _load(args.file)
-    witness(cs)  # raises InadmissibleError
+    admissibility.witness(cs)  # raises InadmissibleError
     primes = _parse_ints(args.primes, "--primes")
     if primes is None:
-        primes = relevant_primes(cs)  # none when every target is 1: an empty report
-    w = find_cover(cs)
-    views = [local_view(cs, p, w) for p in primes]
+        primes = padic.relevant_primes(cs)  # none when every target is 1: an empty report
+    w = model.find_cover(cs)
+    views = [padic.local_view(cs, p, w) for p in primes]
     factors = [density.local_factor(v) for v in views]
     if args.format == "json":
         print(json.dumps([_view_json(v, f) for v, f in zip(views, factors)]))
@@ -259,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("constant", help="evaluate the density constant")
     _add_common(p)
-    p.add_argument("--prime-bound", type=int, default=density.DEFAULT_PRIME_CUTOFF)
+    p.add_argument("--prime-bound", type=int)
     p.add_argument("--trace", action="store_true", help="list per-prime factors")
     p.set_defaults(func=_cmd_constant)
 
@@ -271,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify", help="compare the exact count against the constant")
     _add_common(p)
     p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--prime-bound", type=int, default=density.DEFAULT_PRIME_CUTOFF)
+    p.add_argument("--prime-bound", type=int)
     p.set_defaults(func=_cmd_verify)
 
     p = subs.add_parser("factors", help="print the per-prime views")

@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
 from math import gcd, inf, log, prod
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import ResourceLimitError
-from .model import Condition, ConditionSet, canonical_witness, delta, isolated_indices, neighbors
+from .model import Condition, ConditionSet, Record, canonical_witness, delta, isolated_indices, neighbors
 from .padic import core_masks, relevant_primes, valuations
 from .primes import mobius_up_to, primes_up_to
 
@@ -53,8 +52,7 @@ _WALK_MAX_ACTIVE = 16
 _TABLE_LIMIT = 1 << 20
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(Record):
     """Exact count up to x compared against a density constant.
 
     normalized_error rescales |density - constant| by x / (log x)^(k-1),

@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import operator
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, exp, fsum, log
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .admissibility import witness
 from .errors import CutoffTooSmallError, ResourceLimitError
-from .model import MAX_K, ConditionSet, _bits
+from .model import MAX_K, ConditionSet, Record, _bits
 from .padic import LocalView, core_masks, relevant_primes, valuations
 from .primes import SievePlan, primes_up_to, sieve_segment
 
@@ -57,8 +56,7 @@ _TRACE_LIMIT = 50
 DEFAULT_PRIME_CUTOFF = 10**6
 
 
-@dataclass(frozen=True)
-class FactorPolynomial:
+class FactorPolynomial(Record):
     """Local Euler factor shared by all primes off the target support.
 
     A polynomial in t = 1/p with integer coefficients c_0..c_d, d <= k;
@@ -68,7 +66,7 @@ class FactorPolynomial:
 
     coefficients: tuple[int, ...]
 
-    def __post_init__(self):
+    def _normalize(self):
         coeffs = tuple(operator.index(c) for c in self.coefficients)
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
@@ -105,8 +103,7 @@ class FactorPolynomial:
         return acc
 
 
-@dataclass(frozen=True)
-class DensityResult:
+class DensityResult(Record):
     """Truncated Euler product, its certified enclosure, the exact factors
     it used as ascending (p, factor) pairs, and the tail constant C."""
 
@@ -251,7 +248,9 @@ def _map_segments(
     Segments are dealt round-robin to the calling thread and up to
     _PRODUCT_THREADS - 1 workers.  A worker's exception is re-raised here;
     one here (Ctrl-C included) stops the workers between segments.  Every
-    worker is joined before this returns.
+    worker is joined before this returns.  What the workers call has run
+    before they start: gcdcensus runs its modules lazily, and a lazy module
+    takes no lock as it runs (primes ran with this module's imports).
     """
     starts = plan.starts
     n = max(1, min(_available_cpus(), _PRODUCT_THREADS, len(starts)))

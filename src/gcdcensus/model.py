@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
 
@@ -41,14 +40,71 @@ def _set_of(mask: int) -> frozenset[int]:
     return frozenset(i + 1 for i in _bits(mask))
 
 
-@dataclass(frozen=True)
-class Condition:
+class Record:
+    """Base of the package's immutable value types.
+
+    A subclass declares its fields as class annotations, in order, each
+    with an optional class-level default.  Instances take the fields by
+    position or name, then run `_normalize`; they compare and hash by
+    class and field values and print as `Name(field=value, ...)`.
+    Assigning or deleting any attribute raises AttributeError;
+    `functools.cached_property` still works, as it writes `__dict__`.
+    """
+
+    _fields = ()  # the subclass's annotated names, set by __init_subclass__
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        named = cls._fields[len(args) :]
+        if len(args) > len(cls._fields) or not kwargs.keys() <= set(named):
+            raise TypeError(f"{cls.__name__} takes the fields {', '.join(cls._fields)}")
+        values = dict(zip(cls._fields, args))
+        for field in named:
+            if field in kwargs:
+                values[field] = kwargs[field]
+            elif hasattr(cls, field):
+                values[field] = getattr(cls, field)
+            else:
+                raise TypeError(f"{cls.__name__} is missing the field {field!r}")
+        self.__dict__.update(values)
+        self._normalize()
+
+    def _normalize(self) -> None:
+        """Check and canonicalize the fields, rebinding them with object.__setattr__."""
+
+    def _values(self) -> tuple:
+        return tuple(self.__dict__[f] for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Condition(Record):
     """One exact-gcd requirement: gcd{n_i : i in indices} == value."""
 
     indices: frozenset[int]
     value: int
 
-    def __post_init__(self):
+    def _normalize(self):
         idx = frozenset(operator.index(i) for i in self.indices)
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "value", operator.index(self.value))
@@ -64,8 +120,7 @@ class Condition:
         return _mask_of(self.indices)
 
 
-@dataclass(frozen=True)
-class ConditionSet:
+class ConditionSet(Record):
     """A full condition system on S = {1, ..., k}.
 
     Conditions are stored in canonical order (ascending bitmask of the
@@ -77,7 +132,7 @@ class ConditionSet:
     k: int
     conditions: tuple[Condition, ...] = ()
 
-    def __post_init__(self):
+    def _normalize(self):
         k = operator.index(self.k)
         object.__setattr__(self, "k", k)
         if not 2 <= k <= MAX_K:

@@ -13,13 +13,13 @@ simultaneously.  The density module reads each condition's core off core_masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InadmissibleError
 from .model import (
     Condition,
     ConditionSet,
+    Record,
     _mask_of,
     _set_of,
     canonical_witness,
@@ -41,8 +41,7 @@ def padic_order(n: int, p: int) -> int:
     return e
 
 
-@dataclass(frozen=True)
-class LocalView:
+class LocalView(Record):
     """Everything one prime contributes to a condition system.
 
     `reduced` keeps the full 1..k index space of the source system; its

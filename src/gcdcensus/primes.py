@@ -7,7 +7,8 @@ segmented sieve over odd numbers, 3-13 presieved (Bays & Hudson, BIT 1977),
 which imports numpy on first use.  `trial_divisors` yields the primes below
 10^6 for factorization and for the inadmissibility diagnostic, which
 trial-divides the quotients' lcm before it factors anything; it sieves past
-1000 only if its caller asks for more.  A cofactor left over gets a
+1000 only if its caller asks for more.  A cofactor left over is refused with
+ResourceLimitError above _MAX_COFACTOR_BITS, and otherwise gets a
 deterministic Miller-Rabin test, then Brent's variant of Pollard's rho; a
 target rho cannot split within its step budget (_RHO_STEPS up to 128 bits,
 then divided by bits/128, and above 1024 bits also by bits/1024) is refused
@@ -36,8 +37,16 @@ _FIRST_TRIAL = 1000
 # 2^40.  A step costs about 0.7 us at 128 bits, 2.6 us at 512, 5 us at 1024
 # and 47 us at 4096 (2-vCPU VM): near-linear in the bit length up to 1024 bits,
 # about quadratic above.  So the budget shrinks by bits/128 above 128 bits and
-# by bits/1024 again above 1024, and rho refuses in 1.5-3 s at 128-4096 bits.
+# by bits/1024 again above 1024, and rho refuses in 1.5-3 s at 128-4096 bits
+# (it sees at most _MAX_COFACTOR_BITS).
 _RHO_STEPS = 1 << 22
+
+# Largest cofactor, left after trial division, that factorize tests and splits.
+# The 12 Miller-Rabin rounds on a prime cost about the cube of its bit length:
+# 0.31-0.34 s at 2048 bits, 1.05-1.18 s at 3072 and 2.7 s at 4423 (2-vCPU VM),
+# and a command tests each target prime about twice (factorize, valuations).
+# So a target near the 4300-digit input limit is refused, not tested for minutes.
+_MAX_COFACTOR_BITS = 2048
 
 # Witnesses proving primality for all n < 3_317_044_064_679_887_385_961_981.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -225,6 +234,11 @@ def factorize(n: int) -> dict[int, int]:
     if n == 1:
         return out
     # remaining cofactor is prime or has no prime factor <= _TRIAL_LIMIT
+    if n.bit_length() > _MAX_COFACTOR_BITS:
+        raise ResourceLimitError(
+            f"factoring a {target.bit_length()}-bit target leaves a {n.bit_length()}-bit cofactor,"
+            f" above the {_MAX_COFACTOR_BITS}-bit limit"
+        )
     stack = [n]
     while stack:
         m = stack.pop()

@@ -25,6 +25,15 @@ BAD = {
 PAIR2 = {"k": 2, "conditions": [{"indices": [1, 2], "gcd": 1}]}
 CHAIN = {"k": 3, "conditions": [{"indices": [1, 2], "gcd": 1}, {"indices": [2, 3], "gcd": 1}]}
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]  # primes below 50
+SUBMODULES = [f"gcdcensus.{m}" for m in "admissibility cli counting density errors model padic primes".split()]
+
+
+def _fresh_python(script: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run script in a new interpreter that imports this checkout's gcdcensus."""
+    src = os.path.dirname(os.path.dirname(gcdcensus.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=60)
 
 
 @pytest.fixture
@@ -122,7 +131,7 @@ class TestCheck:
 
     def test_cheap_paths_load_no_numpy(self, write_doc, tmp_path):
         # a fresh interpreter: numpy loads only once the Euler product or the
-        # box scan runs, yet importing the cli still loads every package module
+        # box scan runs, yet importing the cli still registers every package module
         broken = tmp_path / "broken.json"
         broken.write_text('{"k": ')
         # the violated quotients' lcm is 4, so the diagnostic trial-divides it
@@ -149,15 +158,9 @@ print(codes, sorted(m for m in sys.modules if m.startswith("gcdcensus.")))
 main(["count", pairs, "--limit", "10"])  # the box scan
 assert "numpy" in sys.modules
 """
-        src = os.path.dirname(os.path.dirname(gcdcensus.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
         docs = [write_doc(GOOD), str(broken), write_doc(bad, "bad.json"), write_doc(pairs, "pairs.json")]
-        argv = [sys.executable, "-c", script, *docs]
-        run = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        run = _fresh_python(script, *docs)
         assert run.returncode == 0, run.stderr
-        names = "admissibility cli counting density errors model padic primes".split()
-        modules = [f"gcdcensus.{m}" for m in names]
         assert run.stdout.splitlines() == [
             "admissible",
             "6 30 10",
@@ -166,7 +169,7 @@ assert "numpy" in sys.modules
             "density 0.000145144",
             "inadmissible: p=2, T={1,2}",
             "{2: 1, 3: 1, 1000000000039: 1}",
-            f"[0, 0, 2, 3, 2, 0, 1, 0] {modules}",
+            f"[0, 0, 2, 3, 2, 0, 1, 0] {SUBMODULES}",
             "x 10",
             "count 2406",
             "density 0.02406",
@@ -230,16 +233,29 @@ assert "numpy" in sys.modules
         assert "512-bit target" in capsys.readouterr().err
 
     def test_largest_targets_are_refused_in_bounded_time(self, write_doc, capsys):
-        # 4249 digits, the Mersenne primes 2^9689-1 and 2^4423-1: above 1024
-        # bits the rho budget shrinks with the square of the bit length, to
-        # 2^22 * 128 * 1024 / 14112^2 = 2760 steps
+        # 4249 digits, the Mersenne primes 2^9689-1 and 2^4423-1: the cofactor
+        # left after trial division is above the 2048-bit cap, so it is refused
+        # before Miller-Rabin, whose first round alone took about 7 s
         semiprime = (2**9689 - 1) * (2**4423 - 1)
         doc = {"k": 2, "conditions": [{"indices": [1, 2], "gcd": str(semiprime)}]}
         start = time.perf_counter()
         assert main(["factors", write_doc(doc)]) == 3
-        # about 7 s of this is one Miller-Rabin round, whose cost rho's budget cannot cut
-        assert time.perf_counter() - start < 15
-        assert "14112-bit target exceeds the 2760-step limit" in capsys.readouterr().err
+        # trial division to 10^6 took 0.35-0.4 s (2-vCPU VM)
+        assert time.perf_counter() - start < 2
+        err = capsys.readouterr().err
+        assert "14112-bit target leaves a 14112-bit cofactor, above the 2048-bit limit" in err
+
+    def test_prime_targets_either_side_of_the_cofactor_cap(self, write_doc, capsys):
+        # the primes nearest 2^2048: 2048 bits is tested and answered, 2049 refused
+        below, above = 2**2048 - 1557, 2**2048 + 981
+        doc = {"k": 2, "conditions": [{"indices": [1, 2], "gcd": str(above)}]}
+        start = time.perf_counter()
+        assert main(["factors", write_doc(doc)]) == 3
+        assert time.perf_counter() - start < 1
+        assert "2049-bit target leaves a 2049-bit cofactor, above the 2048-bit limit" in capsys.readouterr().err
+        doc = {"k": 2, "conditions": [{"indices": [1, 2], "gcd": str(below)}]}
+        assert main(["factors", write_doc(doc)]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == [f"p {below}", "g {1,2} 1"]
 
 
 class TestWitness:
@@ -461,3 +477,92 @@ class TestStdinAndThreads:
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(PAIR2)))
         assert main(["count", "-", "--limit", "10"]) == 0
         assert "count 63" in capsys.readouterr().out
+
+
+class TestStartup:
+    """What one launch runs: package modules execute on first use, and a
+    command runs only those it needs."""
+
+    HEAVY = ("dataclasses", "inspect", "fractions", "decimal", "numpy")
+    LAUNCH = """
+import contextlib, io, json, sys
+from gcdcensus.cli import main
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    try:
+        rc = main(sys.argv[1:])
+    except SystemExit as exc:  # --help
+        rc = exc.code
+lazy = sorted(n for n, m in sys.modules.items() if type(m).__name__ == "_LazyModule")
+print(json.dumps({"rc": rc, "out": out.getvalue(), "lazy": lazy, "loaded": sorted(sys.modules)}))
+"""
+
+    def _launch(self, *argv):
+        run = _fresh_python(self.LAUNCH, *argv)
+        assert run.returncode == 0, run.stderr
+        return json.loads(run.stdout)
+
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            (["check"], "admissible\n"),
+            (["witness"], "6 30 10\n"),
+            (["count", "--limit", "1000"], "x 1000\ncount 145144\ndensity 0.000145144\n"),
+            (["--help"], None),
+        ],
+        ids=["check", "witness", "count", "help"],
+    )
+    def test_cheap_commands_run_no_density(self, write_doc, argv, out):
+        if argv[0] != "--help":
+            argv = [argv[0], write_doc(GOOD), *argv[1:]]
+        state = self._launch(*argv)
+        assert state["rc"] == 0
+        if out is not None:
+            assert state["out"] == out
+        assert "gcdcensus.density" in state["lazy"]
+        assert not set(self.HEAVY) & set(state["loaded"])
+        assert set(SUBMODULES) <= set(state["loaded"])  # registered, run or not
+
+    def test_constant_runs_density(self, write_doc):
+        # that the box scan still loads numpy is test_cheap_paths_load_no_numpy's last check
+        state = self._launch("constant", write_doc(GOOD), "--prime-bound", "1000")
+        assert state["rc"] == 0 and state["out"].startswith("value ")
+        assert "gcdcensus.density" not in state["lazy"]
+        assert {"fractions", "numpy"} <= set(state["loaded"])
+
+    def test_every_traced_function_resolves_after_importing_the_cli(self):
+        # the benchmark's tracer imports gcdcensus.cli, then looks each of its
+        # TARGETS up in sys.modules; a module missing there reads as absent
+        script = """
+import importlib.util, json, sys
+import gcdcensus.cli
+spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+names = sorted(n for n in sys.modules if n.startswith("gcdcensus."))
+found = [callable(getattr(sys.modules.get(f"gcdcensus.{m}"), f, None)) for _, m, f, *_ in tracer.TARGETS]
+print(json.dumps({"names": names, "found": found}))
+"""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        run = _fresh_python(script, os.path.join(root, "perfbench", "tracer.py"))
+        assert run.returncode == 0, run.stderr
+        state = json.loads(run.stdout)
+        assert state["names"] == SUBMODULES
+        assert state["found"] == [True] * 9
+
+    def test_public_names_resolve(self):
+        assert gcdcensus.__all__ == [
+            "AdmissibilityReport", "Condition", "ConditionSet", "CountReport", "CutoffTooSmallError",
+            "DensityResult", "FactorPolynomial", "InadmissibleError", "LocalView", "ResourceLimitError",
+            "brute_force_find", "condition_set", "constant", "convergence_table", "count", "delta",
+            "empirical_report", "enumerate_independent_subsets", "find_cover", "generic_factor_polynomial",
+            "is_admissible", "is_cover", "is_independent", "isolated_indices", "local_factor", "local_view",
+            "neighbors", "nymann_count", "relevant_primes", "rwise_constant", "toth_pairwise_constant",
+            "valuations", "witness", "z_set",
+        ]
+        namespace: dict = {}
+        exec("from gcdcensus import *", namespace)
+        assert set(gcdcensus.__all__) <= set(namespace) and set(gcdcensus.__all__) <= set(dir(gcdcensus))
+        assert namespace["constant"] is gcdcensus.density.constant
+        assert namespace["ConditionSet"] is gcdcensus.model.ConditionSet
+        with pytest.raises(AttributeError, match="no attribute 'absent'"):
+            gcdcensus.absent

@@ -1,6 +1,7 @@
 """Hypergraph predicates, cover search, and the satisfaction indicator."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from gcdcensus import (
     Condition,
     ConditionSet,
+    DensityResult,
     condition_set,
     delta,
     enumerate_independent_subsets,
@@ -16,6 +18,7 @@ from gcdcensus import (
     is_cover,
     is_independent,
     isolated_indices,
+    local_view,
     neighbors,
 )
 
@@ -65,6 +68,76 @@ class TestConstruction:
     def test_empty_system_allowed(self):
         cs = ConditionSet(2)
         assert cs.conditions == ()
+
+
+class TestRecords:
+    """The value types are frozen records: field-wise equality and hash,
+    a `Name(field=value, ...)` repr, and no assignment or deletion."""
+
+    README = {(1, 2): 6, (2, 3): 10}
+
+    def test_repr_is_pinned(self):
+        assert repr(condition_set(3, self.README)) == (
+            "ConditionSet(k=3, conditions=(Condition(indices=frozenset({1, 2}), value=6), "
+            "Condition(indices=frozenset({2, 3}), value=10)))"
+        )
+        result = DensityResult(0.5, 0.25, 1.0, 97, ((2, Fraction(5, 64)),), 3)
+        assert repr(result) == (
+            "DensityResult(value=0.5, lower=0.25, upper=1.0, prime_cutoff=97, "
+            "factor_trace=((2, Fraction(5, 64)),), tail_constant=3)"
+        )
+        assert result == DensityResult(
+            value=0.5, lower=0.25, upper=1.0, prime_cutoff=97, factor_trace=((2, Fraction(5, 64)),), tail_constant=3
+        )
+
+    def test_equal_systems_compare_and_hash_equal_in_any_order(self):
+        items = [((1, 2), 6), ((2, 3), 10), ((1, 3, 4), 1)]
+        systems = [condition_set(4, list(order)) for order in itertools.permutations(items)]
+        assert all(cs == systems[0] and hash(cs) == hash(systems[0]) for cs in systems)
+        assert len({*systems, condition_set(4, items[:2])}) == 2
+        assert ConditionSet(4, systems[0].conditions) == ConditionSet(k=4, conditions=systems[0].conditions[::-1])
+        assert condition_set(4, items) != condition_set(4, items[:2])
+
+    def test_equality_across_classes_is_not_implemented(self):
+        cs = condition_set(2, {(1, 2): 1})
+        assert cs.__eq__(cs.conditions[0]) is NotImplemented
+        assert cs != (2, cs.conditions) and cs != cs.conditions[0]
+
+    def test_assignment_and_deletion_raise(self):
+        cs = condition_set(3, self.README)
+        for obj, name in ((cs, "k"), (cs, "index_mask"), (cs, "other"), (cs.conditions[0], "value")):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(obj, name, 1)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(obj, name)
+        assert cs.k == 3 and cs.conditions[0].value == 6
+
+    def test_cached_properties_survive_freezing(self):
+        cs = condition_set(3, self.README)
+        assert (cs.index_mask, cs.edge_masks, cs.member_mask) == (0b111, (0b011, 0b110), 0b111)
+        assert cs == condition_set(3, self.README)  # cached values are not fields
+
+    def test_validation_messages_are_unchanged(self):
+        cases = [
+            (lambda: Condition(frozenset({2}), 1), ValueError, "a condition needs at least two indices, got [2]"),
+            (lambda: Condition(frozenset({0, 1}), 1), ValueError, "indices must be >= 1, got [0, 1]"),
+            (lambda: Condition(frozenset({1, 2}), 0), ValueError, "gcd target must be a positive integer, got 0"),
+            (lambda: ConditionSet(1), ValueError, "k must be between 2 and 64, got 1"),
+            (lambda: condition_set(3, {(1, 4): 1}), ValueError, "index 4 outside 1..3 in [1, 4]"),
+            (lambda: condition_set(3, [((1, 2), 1), ((2, 1), 2)]), ValueError, "duplicate condition on indices [1, 2]"),
+            (lambda: ConditionSet(2, (((1, 2), 1),)), TypeError, "expected Condition, got tuple"),
+        ]
+        for build, error, message in cases:
+            with pytest.raises(error) as info:
+                build()
+            assert str(info.value) == message
+
+    def test_local_view_stays_unhashable(self):
+        cs = condition_set(3, self.README)
+        view = local_view(cs, 2, find_cover(cs))
+        assert view == local_view(cs, 2, find_cover(cs))
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(view)
 
 
 class TestIsCover:
