@@ -218,10 +218,11 @@ def _cmd_factors(args) -> int:
     cs = _load(args.file)
     admissibility.witness(cs)  # raises InadmissibleError
     primes = _parse_ints(args.primes, "--primes")
-    if primes is None:
-        primes = padic.relevant_primes(cs)  # none when every target is 1: an empty report
     w = model.find_cover(cs)
-    views = [padic.local_view(cs, p, w) for p in primes]
+    if primes is None:  # the target primes, proven by factorize; none when every target is 1
+        views = [padic._local_view(cs, p, w, *padic._orders(cs, p)) for p in padic.relevant_primes(cs)]
+    else:
+        views = [padic.local_view(cs, p, w) for p in primes]
     factors = [density.local_factor(v) for v in views]
     if args.format == "json":
         print(json.dumps([_view_json(v, f) for v, f in zip(views, factors)]))

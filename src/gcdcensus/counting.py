@@ -11,16 +11,15 @@ with g(d) = prod_p g_p(v_p(d)): the Dirichlet-series view of the paper.
 At each prime, `_local_patterns` lists the index sets S where g_p(v + S),
 v the forced orders, is nonzero, from the cores of padic.core_masks that
 the density constant sums too; g_p vanishes at every other pattern.
-`_walk` sums the series prime by prime in ascending order, in pure Python
-with exact ints, so a count it answers loads no numpy.  It loses to
-`_scan`, a depth-first box scan cut wherever a partial gcd already misses
-its target, on dense systems with many active coordinates, so the walk
-declines those (returns None) from the system alone, before it sums
-anything, and `count` then runs the scan, which imports numpy.  The tests
-keep full-box enumeration as the oracle for both, the finite difference of
-delta_p on a dense exponent grid and the subset Mobius transform over all
-2^m sets for the tables, and `nymann_count`, a Mobius sum, as an
-independent oracle for the fully-coprime system.
+`_walk` sums the series prime by prime in ascending order with exact ints.
+It loses to `_scan`, a depth-first box scan over per-position bitsets, on
+dense systems with many active coordinates, so the walk declines those
+(returns None) from the system alone, before it sums anything, and `count`
+then runs the scan.  Both are pure Python, so `count` loads no numpy.  The
+tests keep full-box enumeration as the oracle for both, the finite
+difference of delta_p on a dense exponent grid and the subset Mobius
+transform over all 2^m sets for the tables, and `nymann_count`, a Mobius
+sum, as an independent oracle for the fully-coprime system.
 """
 
 from __future__ import annotations
@@ -31,8 +30,8 @@ from math import gcd, inf, log, prod
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import ResourceLimitError
-from .model import Condition, ConditionSet, Record, canonical_witness, delta, isolated_indices, neighbors
-from .padic import core_masks, relevant_primes, valuations
+from .model import Condition, ConditionSet, Record, _bits, canonical_witness, delta, isolated_indices, neighbors
+from .padic import _orders, core_masks, relevant_primes
 from .primes import mobius_up_to, primes_up_to
 
 if TYPE_CHECKING:
@@ -45,9 +44,9 @@ _NYMANN_LIMIT = 10**7  # the Mobius sieve and block sum to 10^7 take about 0.4 s
 # with a target prime p where (cap + 1)^m, for cap = _exponent_cap(p, max v,
 # x), exceeds the second.  Its tables hold at most 2^m rows at any prime, so
 # the second is a crossover rule, not a memory bound: under the count guard
-# it fires only at p = 2, m >= 11 and x <= 8, where the scan wins.  Without
-# it (2-vCPU VM), path k=16 with targets 2 at x = 4 took 1.4 s in the walk
-# against 19 ms in the scan, and path k=13 57 ms against 4 ms.
+# it fires only at p = 2, m >= 11 and x <= 8, where the scan won on 562 of 603
+# random systems (2-vCPU VM): path k=16 with targets 2 at x = 4 took 23-38 ms
+# in the walk against 4 ms in the scan, and path k=13 7-8 ms against 1.5 ms.
 _WALK_MAX_ACTIVE = 16
 _TABLE_LIMIT = 1 << 20
 
@@ -99,42 +98,33 @@ def count(cs: ConditionSet, x: int) -> int:
 
 def _scan(sub: ConditionSet, x: int) -> int:
     """Solutions in [1, x]^m of sub, by a depth-first walk of the box in
-    ascending index order.  A prefix is cut once a partial gcd stops being
-    a multiple of its target (or, for a complete condition, equal to it);
-    the last coordinate is tested for all of 1..x at once."""
-    import numpy as np
-    # per position: (condition, target, whether the position is its last index)
-    steps = [
-        [(ci, c.value, i == max(c.indices)) for ci, c in enumerate(sub.conditions) if i in c.indices]
+    ascending index order.  The n allowed at a position are the AND of one
+    cached int bitset (bit n for n) per condition there: the multiples of
+    its target, or at its last index the n whose gcd with the condition's
+    other values equals it.  The walk visits the set bits, and counts the
+    last position's by bit_count().  Under count's guard and dispatch
+    x <= 100 (m >= 5, so x^5 <= 10^10): a bitset holds at most x bits, and a
+    condition caches about x, one per gcd of its other values."""
+    steps = [  # per position, each condition there: its target, its other indices if it ends there, its bitsets
+        [(c.value, [j - 1 for j in c.indices if j < i] if i == max(c.indices) else [], {})
+         for c in sub.conditions if i in c.indices]
         for i in range(1, sub.k + 1)
     ]
-    depth = sub.k - 1
-    ns = np.arange(1, x + 1, dtype=np.int64)
-    partial = [0] * len(sub.conditions)
 
-    def walk(pos: int) -> int:
-        if pos == depth:
-            mask = np.ones(x, dtype=bool)
-            for ci, value, complete in steps[pos]:
-                g = np.gcd(partial[ci], ns)
-                mask &= g == value if complete else g % value == 0
-            return int(np.count_nonzero(mask))
-        hits = 0
-        for n in range(1, x + 1):
-            saved = []
-            for ci, value, complete in steps[pos]:
-                g = gcd(partial[ci], n)
-                if (g != value) if complete else (g % value != 0):
-                    break
-                saved.append((ci, partial[ci]))
-                partial[ci] = g
-            else:
-                hits += walk(pos + 1)
-            for ci, old in saved:
-                partial[ci] = old
-        return hits
+    def walk(prefix: list[int]) -> int:
+        allowed = (1 << x + 1) - 2
+        for value, before, bitsets in steps[len(prefix)]:
+            g = 0  # stays 0 while the condition goes on: the multiples of value
+            for j in before:
+                g = gcd(g, prefix[j])
+            if g not in bitsets:
+                bitsets[g] = sum(1 << n for n in range(value, x + 1, value) if not g or gcd(g, n) == value)
+            allowed &= bitsets[g]
+        if len(prefix) == sub.k - 1:
+            return allowed.bit_count()
+        return sum(walk(prefix + [n]) for n in _bits(allowed))
 
-    return walk(0)
+    return walk([])
 
 
 def _exponent_cap(p: int, top: int, x: int) -> int:
@@ -203,7 +193,7 @@ def _walk(sub: ConditionSet, x: int) -> int | None:
     special = relevant_primes(sub)
     targets = []
     for p in special:
-        orders, forced = valuations(sub, p)
+        orders, forced = _orders(sub, p)
         if (_exponent_cap(p, max(forced.values()), x) + 1) ** m > _TABLE_LIMIT:
             return None
         targets.append((p, forced, core_masks(orders, forced)[1]))

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 from .admissibility import witness
 from .errors import CutoffTooSmallError, ResourceLimitError
 from .model import MAX_K, ConditionSet, Record, _bits
-from .padic import LocalView, core_masks, relevant_primes, valuations
+from .padic import LocalView, _orders, core_masks, relevant_primes
 from .primes import SievePlan, primes_up_to, sieve_segment
 
 if TYPE_CHECKING:
@@ -362,7 +362,7 @@ def constant(cs: ConditionSet, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> Dens
 
     special_factors: list[tuple[int, Fraction]] = []
     for p in special:
-        f = _local_factor(p, *core_masks(*valuations(cs, p)))
+        f = _local_factor(p, *core_masks(*_orders(cs, p)))
         if f <= 0:
             raise AssertionError(f"internal invariant violated: nonpositive factor at p={p}")
         special_factors.append((p, f))

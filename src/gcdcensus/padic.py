@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import InadmissibleError
+from .errors import InadmissibleError, ResourceLimitError
 from .model import (
     Condition,
     ConditionSet,
@@ -26,7 +26,7 @@ from .model import (
     is_cover,
     isolated_indices,
 )
-from .primes import factorize, is_prime
+from .primes import _MAX_COFACTOR_BITS, factorize, is_prime
 
 
 def padic_order(n: int, p: int) -> int:
@@ -71,11 +71,18 @@ def valuations(cs: ConditionSet, p: int) -> tuple[dict[frozenset[int], int], dic
     """Per-condition exponents g and per-coordinate forced minima v at p.
 
     v[i] is the order of the canonical witness's n_i, so 0 for any index
-    outside every condition.
+    outside every condition.  p over _MAX_COFACTOR_BITS bits is refused, untested.
     """
+    p = int(p)
+    if p.bit_length() > _MAX_COFACTOR_BITS:
+        raise ResourceLimitError(f"a {p.bit_length()}-bit prime is above the {_MAX_COFACTOR_BITS}-bit limit")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    p = int(p)
+    return _orders(cs, p)
+
+
+def _orders(cs: ConditionSet, p: int) -> tuple[dict[frozenset[int], int], dict[int, int]]:
+    """valuations at a p that factorize has proven prime: one of relevant_primes."""
     g = {c.indices: padic_order(c.value, p) for c in cs.conditions}
     v = {i: padic_order(n, p) for i, n in enumerate(canonical_witness(cs), 1)}
     return g, v
@@ -94,8 +101,7 @@ def z_set(cs: ConditionSet, p: int) -> frozenset[int]:
     member strictly above the condition's exponent, leaving i alone to
     realize the minimum.
     """
-    g, v = valuations(cs, p)
-    return _pinned(cs, g, v)
+    return _pinned(cs, *valuations(cs, p))
 
 
 def _pinned(cs: ConditionSet, g, v) -> frozenset[int]:
@@ -120,10 +126,13 @@ def local_view(cs: ConditionSet, p: int, cover: Iterable[int]) -> LocalView:
     w = frozenset(cover)
     if not is_cover(cs, w):
         raise ValueError(f"{sorted(w)} is not a cover of the condition system")
-    iso = w & isolated_indices(cs)
-    if iso:
+    if iso := w & isolated_indices(cs):
         raise ValueError(f"cover must exclude isolated indices, found {sorted(iso)}")
-    g, v = valuations(cs, p)
+    return _local_view(cs, int(p), w, *valuations(cs, p))
+
+
+def _local_view(cs: ConditionSet, p: int, w: frozenset[int], g, v) -> LocalView:
+    """local_view with a checked cover w and the valuations g, v at p."""
     z = _pinned(cs, g, v)
     s_p = frozenset(range(1, cs.k + 1)) - z
     pinned = _mask_of(z)
@@ -142,4 +151,4 @@ def local_view(cs: ConditionSet, p: int, cover: Iterable[int]) -> LocalView:
         raise AssertionError(
             f"internal invariant violated: {sorted(w_p)} fails to cover the residual system at p={p}"
         )
-    return LocalView(p=int(p), g=g, v=v, z_set=z, s_p=s_p, reduced=reduced, i_set=i_set, w_p=w_p)
+    return LocalView(p=p, g=g, v=v, z_set=z, s_p=s_p, reduced=reduced, i_set=i_set, w_p=w_p)

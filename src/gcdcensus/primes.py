@@ -41,11 +41,11 @@ _FIRST_TRIAL = 1000
 # (it sees at most _MAX_COFACTOR_BITS).
 _RHO_STEPS = 1 << 22
 
-# Largest cofactor, left after trial division, that factorize tests and splits.
-# The 12 Miller-Rabin rounds on a prime cost about the cube of its bit length:
-# 0.31-0.34 s at 2048 bits, 1.05-1.18 s at 3072 and 2.7 s at 4423 (2-vCPU VM),
-# and a command tests each target prime about twice (factorize, valuations).
-# So a target near the 4300-digit input limit is refused, not tested for minutes.
+# Largest cofactor, left after trial division, that factorize tests and splits,
+# and largest prime padic.valuations tests.  The 12 Miller-Rabin rounds on a
+# prime cost about the cube of its bit length: 0.31-0.34 s at 2048 bits,
+# 1.05-1.18 s at 3072 and 2.7 s at 4423 (2-vCPU VM).  So a target or a listed
+# prime near the 4300-digit input limit is refused, not tested for minutes.
 _MAX_COFACTOR_BITS = 2048
 
 # Witnesses proving primality for all n < 3_317_044_064_679_887_385_961_981.

@@ -130,8 +130,8 @@ class TestCheck:
         assert main(["check", str(tmp_path / "absent.json")]) == 2
 
     def test_cheap_paths_load_no_numpy(self, write_doc, tmp_path):
-        # a fresh interpreter: numpy loads only once the Euler product or the
-        # box scan runs, yet importing the cli still registers every package module
+        # a fresh interpreter: numpy loads only once the Euler product runs, yet
+        # importing the cli still registers every package module
         broken = tmp_path / "broken.json"
         broken.write_text('{"k": ')
         # the violated quotients' lcm is 4, so the diagnostic trial-divides it
@@ -153,9 +153,11 @@ codes.append(main(["check", bad]))
 with contextlib.redirect_stdout(io.StringIO()):
     codes.append(main(["factors", good]))  # factors the targets, sums the local factors
 print(factorize(6 * 1000000000039))  # trial division to 10^6, then Miller-Rabin
-assert "numpy" not in sys.modules, codes
 print(codes, sorted(m for m in sys.modules if m.startswith("gcdcensus.")))
 main(["count", pairs, "--limit", "10"])  # the box scan
+assert "numpy" not in sys.modules, codes
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["constant", good, "--prime-bound", "1000"])  # the Euler product
 assert "numpy" in sys.modules
 """
         docs = [write_doc(GOOD), str(broken), write_doc(bad, "bad.json"), write_doc(pairs, "pairs.json")]
@@ -256,6 +258,36 @@ assert "numpy" in sys.modules
         doc = {"k": 2, "conditions": [{"indices": [1, 2], "gcd": str(below)}]}
         assert main(["factors", write_doc(doc)]) == 0
         assert capsys.readouterr().out.splitlines()[:2] == [f"p {below}", "g {1,2} 1"]
+
+    def test_listed_primes_either_side_of_the_cap(self, write_doc, capsys):
+        # a listed prime meets the cofactor cap before Miller-Rabin, which took
+        # 3.2 s on 2^4423 - 1 (2-vCPU VM)
+        for listed, bits in ((2**4423 - 1, 4423), (2**2048 + 981, 2049)):
+            start = time.perf_counter()
+            assert main(["factors", write_doc(PAIR2), "--primes", str(listed)]) == 3
+            assert time.perf_counter() - start < 1
+            assert f"a {bits}-bit prime is above the 2048-bit limit" in capsys.readouterr().err
+        assert main(["factors", write_doc(PAIR2), "--primes", str(2**2048 - 1557)]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == [f"p {2**2048 - 1557}", "g {1,2} 0"]
+
+    @pytest.mark.parametrize(
+        "argv", [["constant", "--prime-bound", "1000"], ["count", "--limit", "100"], ["factors"]], ids=lambda a: a[0]
+    )
+    def test_each_target_prime_is_tested_once(self, write_doc, monkeypatch, capsys, argv):
+        # factorize proves the primes of the targets 6 and 10; the valuations
+        # at those primes do not test them again
+        from gcdcensus import padic, primes
+
+        calls, is_prime = [], primes.is_prime
+
+        def counted(n):
+            calls.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(primes, "is_prime", counted)
+        monkeypatch.setattr(padic, "is_prime", counted)
+        assert main([argv[0], write_doc(GOOD), *argv[1:]]) == 0
+        assert calls and sorted(set(calls)) == sorted(calls) and set(calls) <= {2, 3, 5}
 
 
 class TestWitness:
@@ -523,7 +555,7 @@ print(json.dumps({"rc": rc, "out": out.getvalue(), "lazy": lazy, "loaded": sorte
         assert set(SUBMODULES) <= set(state["loaded"])  # registered, run or not
 
     def test_constant_runs_density(self, write_doc):
-        # that the box scan still loads numpy is test_cheap_paths_load_no_numpy's last check
+        # that the box scan loads no numpy is test_cheap_paths_load_no_numpy's last check
         state = self._launch("constant", write_doc(GOOD), "--prime-bound", "1000")
         assert state["rc"] == 0 and state["out"].startswith("value ")
         assert "gcdcensus.density" not in state["lazy"]

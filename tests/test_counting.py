@@ -6,7 +6,7 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gcdcensus import (
@@ -16,6 +16,7 @@ from gcdcensus import (
     convergence_table,
     count,
     empirical_report,
+    is_admissible,
     nymann_count,
 )
 from gcdcensus import FactorPolynomial, counting, find_cover, generic_factor_polynomial
@@ -323,6 +324,15 @@ class TestScan:
         # x = 1, targets above x and isolated indices included
         x = data.draw(st.integers(1, {2: 12, 3: 12, 4: 8, 5: 5}[cs.k]))
         assert counting._scan(cs, x) == naive_count(cs, x)
+
+    @given(prime_power_systems(), st.integers(1, 60))
+    @example(condition_set(4, {(1, 2): 2, (1, 2, 3): 1}), 60)  # index 2 ends one, continues one; 4 isolated
+    @example(condition_set(4, {(1, 3): 3, (1, 2, 3): 1, (3, 4): 1}), 45)  # index 3 ends two, continues one
+    @settings(max_examples=80, deadline=None)
+    def test_matches_walk(self, cs, x):
+        # a second oracle, at x beyond full-box enumeration: the walk answers every m <= 4
+        assume(is_admissible(cs))
+        assert counting._scan(cs, x) == counting._walk(cs, x)
 
 
 class TestNymann:

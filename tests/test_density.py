@@ -1,6 +1,7 @@
 """Local factors, the shared polynomial, and the truncated Euler product."""
 
 import itertools
+import os
 import random
 import threading
 import time
@@ -551,6 +552,17 @@ class TestThreadedProduct:
         w = find_cover(cs)
         special = [(p, local_factor(local_view(cs, p, w))) for p in relevant_primes(cs)]
         self.assert_naive_bits_on_1_2_3_threads(monkeypatch, generic_factor_polynomial(cs), cutoff, special)
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        # where os has no sched_getaffinity (macOS, Windows) the CPUs are counted
+        poly = FactorPolynomial((1, 0, -3, 2))  # Toth k=3
+        value, largest, exact = density._euler_product(poly, 3 * 10**6 + 1, [])  # 3 segments
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for cpus, n in ((None, 1), (1, 1), (4, 4)):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert density._available_cpus() == n
+            again = density._euler_product(poly, 3 * 10**6 + 1, [])
+            assert (again[0].hex(), again[1], again[2]) == (value.hex(), largest, exact)
 
     def test_wholly_skipped_segments(self, monkeypatch):
         # 16-wide segments, two of them made of special primes only

@@ -132,6 +132,19 @@ class TestRecords:
                 build()
             assert str(info.value) == message
 
+    def test_wrong_arguments_raise_type_error(self):
+        cases = [
+            (lambda: Condition(frozenset({1, 2}), 1, 2), "Condition takes the fields indices, value"),
+            (lambda: Condition(frozenset({1, 2}), gcd=1), "Condition takes the fields indices, value"),
+            (lambda: Condition(frozenset({1, 2}), 1, indices=frozenset({1, 3})), "Condition takes the fields indices, value"),
+            (lambda: Condition(frozenset({1, 2})), "Condition is missing the field 'value'"),
+            (lambda: DensityResult(0.5, upper=1.0), "DensityResult is missing the field 'lower'"),
+        ]
+        for build, message in cases:
+            with pytest.raises(TypeError) as info:
+                build()
+            assert str(info.value) == message
+
     def test_local_view_stays_unhashable(self):
         cs = condition_set(3, self.README)
         view = local_view(cs, 2, find_cover(cs))
