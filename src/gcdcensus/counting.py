@@ -15,30 +15,31 @@ the density constant sums too; g_p vanishes at every other pattern.
 It loses to `_scan`, a depth-first box scan over per-position bitsets, on
 dense systems with many active coordinates, so the walk declines those
 (returns None) from the system alone, before it sums anything, and `count`
-then runs the scan.  Both are pure Python, so `count` loads no numpy.  The
-tests keep full-box enumeration as the oracle for both, the finite
-difference of delta_p on a dense exponent grid and the subset Mobius
-transform over all 2^m sets for the tables, and `nymann_count`, a Mobius
-sum, as an independent oracle for the fully-coprime system.
+then runs the scan.  The tests keep full-box enumeration as the oracle
+for both, the finite difference of delta_p on a dense exponent grid and
+the subset Mobius transform over all 2^m sets for the tables, and
+`nymann_count`, a Mobius sum over the Mertens function, as an independent
+oracle for the fully-coprime system.  Everything here is pure Python.
 """
 
 from __future__ import annotations
 
 import operator
 from bisect import bisect_right
+from itertools import accumulate
 from math import gcd, inf, log, prod
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .errors import ResourceLimitError
 from .model import Condition, ConditionSet, Record, _bits, canonical_witness, delta, isolated_indices, neighbors
 from .padic import _orders, core_masks, relevant_primes
-from .primes import mobius_up_to, primes_up_to
+from .primes import primes_up_to
 
 if TYPE_CHECKING:
     from .density import DensityResult
 
 _COUNT_GUARD = 10**10
-_NYMANN_LIMIT = 10**7  # the Mobius sieve and block sum to 10^7 take about 0.4 s and 90 MB
+_NYMANN_LIMIT = 10**9  # the Mertens table to 10^9 takes about 1 s and 50 MB
 
 # The walk declines a system with more active coordinates than the first, or
 # with a target prime p where (cap + 1)^m, for cap = _exponent_cap(p, max v,
@@ -270,14 +271,43 @@ def _walk(sub: ConditionSet, x: int) -> int | None:
     return sum(w * prod(y) + below(list(y), w, 0, patterns) for y, w in nodes.items())
 
 
+def _mobius(n: int) -> list[int]:
+    """mu(0..n) as a list, mu(0) = 0: each prime p <= n negates the entries
+    at its multiples and zeroes those at the multiples of p^2."""
+    mu = [0] + [1] * n
+    for p in primes_up_to(n):
+        mu[p::p] = [-v for v in mu[p::p]]
+        mu[p * p :: p * p] = [0] * (n // (p * p))
+    return mu
+
+
+def _mertens(x: int) -> Callable[[int], int]:
+    """M(n) = mu(1) + ... + mu(n) at n = 0 and every n = x // j.  Up to
+    s = x^(2/3) it reads the partial sums of _mobius(s); above s, for n
+    ascending, M(n) = 1 - sum over d >= 2 of M(n // d), over the runs of
+    equal n // d (Deleglise and Rivat 1996): O(x^(2/3)) steps in all."""
+    s = int(x ** (2 / 3))
+    small = list(accumulate(_mobius(s)))
+    big: dict[int, int] = {}
+    for n in (x // j for j in range(x // (s + 1), 0, -1)):
+        total, d = 1, 2
+        while d <= n:
+            q = n // d
+            last = n // q
+            total -= (last - d + 1) * (small[q] if q <= s else big[q])
+            d = last + 1
+        big[n] = total
+    return lambda n: small[n] if n <= s else big[n]
+
+
 def nymann_count(k: int, x: int) -> int:
     """Exact number of k-tuples <= x with overall gcd 1.
 
     Mobius inversion: sum over d <= x of mu(d) * floor(x/d)^k, taken over
-    the runs of d with equal floor(x/d) as differences of the partial sums
-    of mu.  Used as an independent oracle for the single full-gcd
-    condition.  Guarded by x <= 10**7, since the sieve takes memory and
-    time linear in x.
+    the runs of d with equal floor(x/d) as differences of the Mertens
+    function.  Used as an independent oracle for the single full-gcd
+    condition.  Guarded by x <= 10**9, where the Mertens table takes
+    about 1 s.
     """
     k = operator.index(k)
     x = operator.index(x)
@@ -286,14 +316,13 @@ def nymann_count(k: int, x: int) -> int:
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     if x > _NYMANN_LIMIT:
-        raise ResourceLimitError(f"x = {x} exceeds the {_NYMANN_LIMIT} limit on the Mobius sieve")
-    import numpy as np
-    mertens = np.cumsum(mobius_up_to(x), dtype=np.int32)  # |M(n)| <= n
+        raise ResourceLimitError(f"x = {x} exceeds the {_NYMANN_LIMIT} limit on the Mertens function")
+    mertens = _mertens(x)
     total, d = 0, 1
     while d <= x:  # one term per distinct quotient q = x // d, about 2 sqrt(x)
         q = x // d
         last = x // q
-        total += int(mertens[last] - mertens[d - 1]) * q**k
+        total += (mertens(last) - mertens(d - 1)) * q**k
         d = last + 1
     return total
 

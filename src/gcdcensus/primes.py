@@ -1,13 +1,14 @@
 """Prime machinery: sieves, deterministic primality, integer factorization.
 
 Everything here is exact.  `primes_up_to` is a stdlib sieve over the odd
-numbers, for the count's walk, the Mobius sieve and factorization.  The
-Euler product in `density` consumes millions of primes from a numpy
-segmented sieve over odd numbers, 3-13 presieved (Bays & Hudson, BIT 1977),
-which imports numpy on first use.  `trial_divisors` yields the primes below
-10^6 for factorization and for the inadmissibility diagnostic, which
-trial-divides the quotients' lcm before it factors anything; it sieves past
-1000 only if its caller asks for more.  A cofactor left over is refused with
+numbers, for the count's walk, `nymann_count`'s Mobius table and
+factorization.  The Euler product in `density`, alone, consumes millions of
+primes from a numpy segmented sieve over odd numbers, 3-13 presieved (Bays &
+Hudson, BIT 1977), which imports numpy on first use.  `trial_divisors`
+yields the primes below 10^6 for factorization and for the inadmissibility
+diagnostic, which trial-divides the quotients' lcm before it factors
+anything; it sieves past 1000 only if its caller asks for more.  A cofactor
+left over below (10^6 + 1)^2 is prime.  A larger one is refused with
 ResourceLimitError above _MAX_COFACTOR_BITS, and otherwise gets a
 deterministic Miller-Rabin test, then Brent's variant of Pollard's rho; a
 target rho cannot split within its step budget (_RHO_STEPS up to 128 bits,
@@ -79,22 +80,6 @@ def primes_up_to(n: int) -> list[int]:
             first = p * p // 2
             odd[first::p] = bytes((len(odd) - 1 - first) // p + 1)
     return [2, *compress(range(1, n + 1, 2), odd)]
-
-
-def prime_blocks(limit: int) -> Iterator[np.ndarray]:
-    """Yield the primes <= limit as consecutive nonempty int64 arrays.
-
-    The primes <= isqrt(limit), then those in [lo, lo + _BLOCK_SIZE) for
-    lo = isqrt(limit) + 1 + j*_BLOCK_SIZE: fixed blocks, so block-wise
-    reductions are reproducible, in O(_BLOCK_SIZE + sqrt(limit)) memory.
-    """
-    plan = SievePlan(limit)
-    if plan.base.size:
-        yield plan.base
-    for lo in plan.starts:
-        primes = sieve_segment(plan, lo)
-        if primes.size:
-            yield primes
 
 
 class SievePlan:
@@ -242,31 +227,10 @@ def factorize(n: int) -> dict[int, int]:
     stack = [n]
     while stack:
         m = stack.pop()
-        if is_prime(m):
+        if isqrt(m) <= _TRIAL_LIMIT or is_prime(m):  # no factor <= _TRIAL_LIMIT, so below its square a prime
             out[m] = out.get(m, 0) + 1
             continue
         f = _brent_rho(m, target.bit_length())
         stack.append(f)
         stack.append(m // f)
     return out
-
-
-def mobius_up_to(n: int) -> np.ndarray:
-    """The Mobius function mu(0..n) as an int8 array (mu(0) set to 0).
-
-    Sieves with the primes <= sqrt(n) only, dividing each m once by each
-    of them that divides it: a squarefree m left with a cofactor above 1
-    has exactly one prime factor above sqrt(n), which flips its sign.
-    """
-    if n < 0:
-        raise ValueError("bound must be nonnegative")
-    import numpy as np
-    mu = np.ones(n + 1, dtype=np.int8)
-    mu[0] = 0
-    rest = np.arange(n + 1, dtype=np.min_scalar_type(n))
-    for p in primes_up_to(isqrt(n)):
-        mu[p::p] *= -1
-        rest[p::p] //= p
-        mu[p * p :: p * p] = 0
-    mu[rest > 1] *= -1
-    return mu

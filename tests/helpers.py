@@ -9,8 +9,9 @@ local-pattern oracles take finite differences on a dense exponent grid
 and the subset Mobius transform over all 2^m index sets,
 the subset-sum oracles walk every independent subset one by one, the
 Euler-product oracle evaluates the polynomial with np.polyval and sums
-each sieve block with math.fsum, and the Mobius oracle factors by trial
-division.
+with math.fsum each block of the stdlib sieve's primes, split on the fixed
+grid, the Mobius oracle factors by trial division, and the totient oracle
+sieves with the product formula.
 """
 
 from __future__ import annotations
@@ -18,16 +19,16 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import comb, exp, fsum, gcd
+from math import comb, exp, fsum, gcd, isqrt
 
 import numpy as np
 from hypothesis import strategies as st
 
-from gcdcensus import AdmissibilityReport, Condition, ConditionSet, condition_set
+from gcdcensus import AdmissibilityReport, Condition, ConditionSet, condition_set, primes
 from gcdcensus.density import _TRACE_LIMIT, FactorPolynomial, _log_fraction
 from gcdcensus.model import enumerate_independent_subsets, neighbors
 from gcdcensus.padic import LocalView
-from gcdcensus.primes import prime_blocks, primes_up_to
+from gcdcensus.primes import primes_up_to
 
 
 def naive_count(cs: ConditionSet, x: int) -> int:
@@ -229,14 +230,21 @@ def naive_local_factor(view: LocalView) -> Fraction:
 
 def naive_euler_product(poly: FactorPolynomial, cutoff: int, special=()):
     """density._euler_product with the polynomial evaluated by np.polyval
-    (Horner, in the same order) and each sieve block summed by math.fsum."""
+    (Horner, in the same order) and each nonempty block summed by math.fsum.
+    The blocks split the stdlib sieve's primes <= cutoff on the fixed grid:
+    those <= isqrt(cutoff), then those in [lo, lo + _BLOCK_SIZE) for
+    lo = isqrt(cutoff) + 1 + j*_BLOCK_SIZE."""
     exact = dict(special)
-    for p in map(int, primes_up_to(min(cutoff, _TRACE_LIMIT - 1))):
+    for p in primes_up_to(min(cutoff, _TRACE_LIMIT - 1)):
         exact.setdefault(p, poly.value_at(p))
     skip = sorted(exact)
     log_blocks = [_log_fraction(f) for f in exact.values()]
     largest = 0
-    for block in prime_blocks(cutoff):
+    every = np.array(primes_up_to(cutoff), dtype=np.int64)
+    grid = range(isqrt(cutoff) + 1, cutoff + 1, primes._BLOCK_SIZE)
+    for block in np.split(every, np.searchsorted(every, grid)):
+        if block.size == 0:
+            continue
         largest = int(block[-1])
         if block[0] <= skip[-1]:
             block = block[~np.isin(block, skip)]
@@ -244,6 +252,17 @@ def naive_euler_product(poly: FactorPolynomial, cutoff: int, special=()):
                 continue
         log_blocks.append(fsum(np.log(np.polyval(poly.coefficients[::-1], 1.0 / block))))
     return exp(fsum(log_blocks)), largest, exact
+
+
+def totients_up_to(n: int) -> list[int]:
+    """Euler's phi(0..n) by the product formula: each prime p (an entry still
+    equal to its index) scales its multiples by 1 - 1/p."""
+    phi = list(range(n + 1))
+    for p in range(2, n + 1):
+        if phi[p] == p:
+            for m in range(p, n + 1, p):
+                phi[m] -= phi[m] // p
+    return phi
 
 
 def random_admissible(rng: random.Random, max_k: int = 6, max_base: int = 60) -> ConditionSet:

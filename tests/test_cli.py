@@ -139,6 +139,7 @@ class TestCheck:
         pairs = {"k": 5, "conditions": [{"indices": list(e), "gcd": 1} for e in combinations(range(1, 6), 2)]}
         script = """
 import contextlib, io, sys
+from gcdcensus import nymann_count
 from gcdcensus.cli import main
 from gcdcensus.primes import factorize
 good, broken, bad, pairs = sys.argv[1:]
@@ -152,7 +153,8 @@ codes.append(main(["count", good, "--limit", "1000"]))  # the walk
 codes.append(main(["check", bad]))
 with contextlib.redirect_stdout(io.StringIO()):
     codes.append(main(["factors", good]))  # factors the targets, sums the local factors
-print(factorize(6 * 1000000000039))  # trial division to 10^6, then Miller-Rabin
+print(factorize(6 * 1000000000039))  # trial division to 10^6 proves the cofactor prime
+print(nymann_count(3, 10**6))  # the Mertens function
 print(codes, sorted(m for m in sys.modules if m.startswith("gcdcensus.")))
 main(["count", pairs, "--limit", "10"])  # the box scan
 assert "numpy" not in sys.modules, codes
@@ -171,6 +173,7 @@ assert "numpy" in sys.modules
             "density 0.000145144",
             "inadmissible: p=2, T={1,2}",
             "{2: 1, 3: 1, 1000000000039: 1}",
+            "831907430687799769",
             f"[0, 0, 2, 3, 2, 0, 1, 0] {SUBMODULES}",
             "x 10",
             "count 2406",
@@ -274,8 +277,9 @@ assert "numpy" in sys.modules
         "argv", [["constant", "--prime-bound", "1000"], ["count", "--limit", "100"], ["factors"]], ids=lambda a: a[0]
     )
     def test_each_target_prime_is_tested_once(self, write_doc, monkeypatch, capsys, argv):
-        # factorize proves the primes of the targets 6 and 10; the valuations
-        # at those primes do not test them again
+        # trial division proves the primes of the targets 6 and 10, so nothing
+        # runs Miller-Rabin on them; a prime target above (10^6 + 1)^2 is
+        # tested once by factorize, and the valuations do not test it again
         from gcdcensus import padic, primes
 
         calls, is_prime = [], primes.is_prime
@@ -287,7 +291,14 @@ assert "numpy" in sys.modules
         monkeypatch.setattr(primes, "is_prime", counted)
         monkeypatch.setattr(padic, "is_prime", counted)
         assert main([argv[0], write_doc(GOOD), *argv[1:]]) == 0
-        assert calls and sorted(set(calls)) == sorted(calls) and set(calls) <= {2, 3, 5}
+        assert calls == []
+        big = 1000002000007
+        doc = write_doc({"k": 2, "conditions": [{"indices": [1, 2], "gcd": big}]}, "big.json")
+        # constant then refuses a prime bound below the target prime, and count
+        # factors nothing once the witness (big, big) lies outside the box
+        code, tested = {"constant": (3, [big]), "count": (0, []), "factors": (0, [big])}[argv[0]]
+        assert main([argv[0], doc, *argv[1:]]) == code
+        assert calls == tested
 
 
 class TestWitness:
@@ -563,7 +574,8 @@ print(json.dumps({"rc": rc, "out": out.getvalue(), "lazy": lazy, "loaded": sorte
 
     def test_every_traced_function_resolves_after_importing_the_cli(self):
         # the benchmark's tracer imports gcdcensus.cli, then looks each of its
-        # TARGETS up in sys.modules; a module missing there reads as absent
+        # TARGETS up in sys.modules; a module missing there reads as absent, and
+        # so does primes.prime_blocks, which the package no longer has
         script = """
 import importlib.util, json, sys
 import gcdcensus.cli
@@ -571,15 +583,15 @@ spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
 tracer = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracer)
 names = sorted(n for n in sys.modules if n.startswith("gcdcensus."))
-found = [callable(getattr(sys.modules.get(f"gcdcensus.{m}"), f, None)) for _, m, f, *_ in tracer.TARGETS]
-print(json.dumps({"names": names, "found": found}))
+absent = [n for n, m, f, *_ in tracer.TARGETS if not callable(getattr(sys.modules.get(f"gcdcensus.{m}"), f, None))]
+print(json.dumps({"names": names, "absent": absent, "targets": len(tracer.TARGETS)}))
 """
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         run = _fresh_python(script, os.path.join(root, "perfbench", "tracer.py"))
         assert run.returncode == 0, run.stderr
         state = json.loads(run.stdout)
         assert state["names"] == SUBMODULES
-        assert state["found"] == [True] * 9
+        assert (state["absent"], state["targets"]) == (["primes.prime_blocks"], 9)
 
     def test_public_names_resolve(self):
         assert gcdcensus.__all__ == [

@@ -28,6 +28,7 @@ from helpers import (
     dense_local_patterns,
     naive_count,
     naive_local_patterns,
+    totients_up_to,
     trial_mobius,
     trial_order,
 )
@@ -342,9 +343,24 @@ class TestNymann:
         assert nymann_count(2, 10) == 63
 
     def test_matches_trial_mobius_oracle(self):
-        for k in (2, 3):
-            for x in (1, 7, 30, 101):
+        # every x <= 300 crosses many of the boundaries x^(2/3) between the
+        # Mobius table and the Mertens recursion
+        for k in (2, 3, 5):
+            for x in range(1, 301):
                 assert nymann_count(k, x) == mobius_count_oracle(k, x)
+
+    def test_pairs_match_the_totient_sum(self):
+        # a second oracle, sharing no code with the Mertens function: the
+        # coprime pairs in [1, x]^2 are 2 * (phi(1) + ... + phi(x)) - 1
+        x = 10**5
+        assert nymann_count(2, x) == 2 * sum(totients_up_to(x)) - 1
+
+    def test_mobius_matches_trial_division(self):
+        # every bound up to 170 crosses the squares 4, 9, ..., 169 that
+        # zero the multiples of p^2
+        expected = [0] + [trial_mobius(m) for m in range(1, 171)]
+        for n in range(171):
+            assert counting._mobius(n) == expected[: n + 1]
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -353,14 +369,14 @@ class TestNymann:
             nymann_count(2, 0)
 
     def test_guard_refuses_before_sieving(self, monkeypatch):
-        def no_sieve(n):
-            raise AssertionError(f"sieved to {n}")
+        def no_sieve(x):
+            raise AssertionError(f"sieved to {x}")
 
-        monkeypatch.setattr(counting, "mobius_up_to", no_sieve)
-        with pytest.raises(ResourceLimitError, match=r"x = 10000000001 exceeds the 10000000 limit"):
-            nymann_count(2, 10**10 + 1)
-        with pytest.raises(AssertionError, match="sieved to 10000000"):
-            nymann_count(2, 10**7)  # the largest accepted bound
+        monkeypatch.setattr(counting, "_mertens", no_sieve)
+        with pytest.raises(ResourceLimitError, match=r"x = 1000000001 exceeds the 1000000000 limit"):
+            nymann_count(2, 10**9 + 1)
+        with pytest.raises(AssertionError, match="sieved to 1000000000"):
+            nymann_count(2, 10**9)  # the largest accepted bound
 
 
 class TestEmpiricalReport:

@@ -8,9 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcdcensus import primes
-from gcdcensus.primes import factorize, is_prime, mobius_up_to, prime_blocks, primes_up_to
-
-from helpers import trial_mobius
+from gcdcensus.primes import factorize, is_prime, primes_up_to
 
 SMALL = primes_up_to(1000)
 ABOVE_TRIAL_LIMIT = [p for p in primes_up_to(10**6 + 1000) if p > 10**6]
@@ -107,18 +105,6 @@ def test_brent_rho_backtracks_and_retries():
 def test_nonpositive_inputs_rejected():
     with pytest.raises(ValueError, match="cannot factor 0"):
         factorize(0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        mobius_up_to(-1)
-
-
-def test_mobius_matches_trial_division():
-    # every bound up to 170 crosses the squares 4, 9, ..., 169 that change
-    # which primes the sieve uses and which factors are left over
-    expected = [0] + [trial_mobius(m) for m in range(1, 171)]
-    for n in range(171):
-        got = mobius_up_to(n)
-        assert got.dtype == np.int8
-        assert got.tolist() == expected[: n + 1]
 
 
 def test_primes_up_to_matches_trial_division():
@@ -126,18 +112,6 @@ def test_primes_up_to_matches_trial_division():
         got = primes_up_to(n)
         assert type(got) is list and all(type(p) is int for p in got)
         assert got == trial_primes(n)
-
-
-def test_blocks_concatenate_to_the_primes(monkeypatch):
-    monkeypatch.setattr(primes, "_BLOCK_SIZE", 16)
-    for limit in range(401):
-        blocks = list(prime_blocks(limit))
-        assert all(b.size and b.dtype == np.int64 for b in blocks)
-        assert [int(p) for b in blocks for p in b] == trial_primes(limit)
-        if limit >= 4:
-            assert blocks[0].tolist() == trial_primes(isqrt(limit))
-        if limit >= 64:  # more than one 16-wide segment above the base block
-            assert len(blocks) > 2
 
 
 @pytest.mark.parametrize("block", [16, None])
@@ -150,6 +124,7 @@ def test_plan_segments_concatenate_to_the_primes(monkeypatch, block):
         assert plan.starts == range(isqrt(limit) + 1, limit + 1, primes._BLOCK_SIZE)
         segments = [primes.sieve_segment(plan, lo) for lo in reversed(plan.starts)][::-1]
         assert all(s.dtype == np.int64 for s in segments)
+        assert plan.base.tolist() == trial_primes(isqrt(limit))
         # the stdlib sieve shares no code with the segments
         assert np.concatenate([plan.base, *segments]).tolist() == primes_up_to(limit)
 
@@ -162,11 +137,12 @@ def test_segments_sit_on_the_fixed_grid():
     # the block boundaries fix every block-wise sum, so they are a contract
     limit = 3 * 10**6 + 1
     root = isqrt(limit)
-    blocks = list(prime_blocks(limit))
-    assert blocks[0].tolist() == trial_primes(root)
+    plan = primes.SievePlan(limit)
+    assert plan.base.tolist() == trial_primes(root)
     starts = range(root + 1, limit + 1, primes._BLOCK_SIZE)
-    assert len(blocks) == 1 + len(starts)
-    for block, lo in zip(blocks[1:], starts):
+    assert plan.starts == starts
+    for lo in starts:
+        block = primes.sieve_segment(plan, lo)
         hi = min(lo + primes._BLOCK_SIZE, limit + 1)
         assert lo <= block[0] and block[-1] < hi
         # first and last prime of the segment, checked by Miller-Rabin
