@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from math import isfinite
 from typing import TYPE_CHECKING
@@ -34,14 +35,18 @@ def _report(args, fields: dict) -> None:
     """Print `fields` as one JSON object, or as `name value` lines.
 
     JSON has no infinity or NaN, so a non-finite float is null there; the
-    text lines print it as `inf` or `nan`.
+    text lines print it as `inf` or `nan`.  An int past Python's limit on
+    decimal digits (sys.get_int_max_str_digits) is a resource limit.
     """
-    if args.format == "json":
-        finite = {k: None if isinstance(v, float) and not isfinite(v) else v for k, v in fields.items()}
-        print(json.dumps(finite, allow_nan=False))
-        return
-    for name, value in fields.items():
-        print(f"{name} {_fmt(value) if isinstance(value, float) else value}")
+    try:
+        if args.format == "json":
+            finite = {k: None if isinstance(v, float) and not isfinite(v) else v for k, v in fields.items()}
+            text = json.dumps(finite, allow_nan=False)
+        else:
+            text = "\n".join(f"{k} {_fmt(v) if isinstance(v, float) else v}" for k, v in fields.items())
+    except ValueError as exc:  # only an int's conversion to decimal can raise here
+        raise ResourceLimitError(f"the result is too long to print: {exc}") from None
+    print(text)
 
 
 def _fmt_indices(indices) -> str:
@@ -289,6 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # numpy's OpenBLAS starts a thread pool as it loads, and no command calls BLAS
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

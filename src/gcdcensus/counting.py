@@ -15,9 +15,11 @@ the density constant sums too; g_p vanishes at every other pattern.
 It loses to `_scan`, a depth-first box scan over per-position bitsets, on
 dense systems with many active coordinates, so the walk declines those
 (returns None) from the system alone, before it sums anything, and `count`
-then runs the scan.  The tests keep full-box enumeration as the oracle
-for both, the finite difference of delta_p on a dense exponent grid and
-the subset Mobius transform over all 2^m sets for the tables, and
+then runs the scan.  Each kernel charges its work to one budget, a loop
+at a time, and refuses once the work would pass it.  The tests keep
+full-box enumeration as the oracle for both, the finite difference of
+delta_p on a dense exponent grid and the subset Mobius transform over all
+2^m sets for the tables, and
 `nymann_count`, a Mobius sum over the Mertens function, as an independent
 oracle for the fully-coprime system.  Everything here is pure Python.
 """
@@ -27,7 +29,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_right
 from itertools import accumulate
-from math import gcd, inf, log, prod
+from math import gcd, inf, log, log10, prod
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .errors import ResourceLimitError
@@ -38,18 +40,15 @@ from .primes import primes_up_to
 if TYPE_CHECKING:
     from .density import DensityResult
 
-_COUNT_GUARD = 10**10
 _NYMANN_LIMIT = 10**9  # the Mertens table to 10^9 takes about 1 s and 50 MB
 
-# The walk declines a system with more active coordinates than the first, or
-# with a target prime p where (cap + 1)^m, for cap = _exponent_cap(p, max v,
-# x), exceeds the second.  Its tables hold at most 2^m rows at any prime, so
-# the second is a crossover rule, not a memory bound: under the count guard
-# it fires only at p = 2, m >= 11 and x <= 8, where the scan won on 562 of 603
-# random systems (2-vCPU VM): path k=16 with targets 2 at x = 4 took 23-38 ms
-# in the walk against 4 ms in the scan, and path k=13 7-8 ms against 1.5 ms.
+# count's budget, in steps of about 1 us (0.5-1.4 us on a 2-vCPU VM), so a refusal
+# comes within about 3 s; {(1,2): 6, (2,3): 10} at x = 10^6 charges 0.95 million
+# steps to the walk, which takes 0.45-0.75 s there.
+_COUNT_STEPS = 3 * 10**6
+
+# The walk declines systems with more active coordinates (path k=20 at x = 3 took 66 s in it).
 _WALK_MAX_ACTIVE = 16
-_TABLE_LIMIT = 1 << 20
 
 
 class CountReport(Record):
@@ -73,15 +72,14 @@ class CountReport(Record):
 def count(cs: ConditionSet, x: int) -> int:
     """Exact number of tuples in [1, x]^k satisfying every condition.
 
-    Guarded by x**k <= 10**10.  Coordinates in no condition contribute a
-    free factor of x each; the rest are counted by the prime-pattern walk,
-    or by the pruned box scan where the walk declines the system.
+    Coordinates in no condition contribute a free factor of x each; the rest
+    are counted by the prime-pattern walk, or by the pruned box scan where
+    the walk declines the system.  Either kernel raises ResourceLimitError
+    once its work would pass _COUNT_STEPS steps of about 1 us.
     """
     x = operator.index(x)
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    if x**cs.k > _COUNT_GUARD:
-        raise ResourceLimitError(f"x**k = {x}**{cs.k} exceeds the {_COUNT_GUARD} count guard")
     n = canonical_witness(cs)
     if max(n) > x or not delta(cs, n):
         return 0  # every solution is a multiple of the witness
@@ -97,20 +95,39 @@ def count(cs: ConditionSet, x: int) -> int:
     return hits * x ** (cs.k - sub.k)
 
 
-def _scan(sub: ConditionSet, x: int) -> int:
+def _meter(kernel: str, budget: int) -> Callable[[int], None]:
+    """charge(steps), which raises ResourceLimitError once the steps charged pass budget."""
+    spent = 0
+
+    def charge(steps: int) -> None:
+        nonlocal spent
+        spent += steps
+        if spent > budget:
+            shown = spent if spent < 10**18 else f"10^{log10(spent):.0f}"  # x itself may pass the digit limit
+            raise ResourceLimitError(f"count's {kernel} needs over {shown} steps, past its budget of {budget}")
+
+    return charge
+
+
+def _scan(sub: ConditionSet, x: int, budget: int = _COUNT_STEPS) -> int:
     """Solutions in [1, x]^m of sub, by a depth-first walk of the box in
     ascending index order.  The n allowed at a position are the AND of one
     cached int bitset (bit n for n) per condition there: the multiples of
     its target, or at its last index the n whose gcd with the condition's
     other values equals it.  The walk visits the set bits, and counts the
-    last position's by bit_count().  Under count's guard and dispatch
-    x <= 100 (m >= 5, so x^5 <= 10^10): a bitset holds at most x bits, and a
-    condition caches about x, one per gcd of its other values."""
+    last position's by bit_count().  A node charges its children's visits
+    before it makes them, by the gcds and bitset words each takes, and a
+    bitset is charged before it is built, in time quadratic in x.
+    """
+    charge = _meter("scan", budget)
+    words = 1 + x // 64  # per bitset; an AND of 8 words costs about as much as a gcd
     steps = [  # per position, each condition there: its target, its other indices if it ends there, its bitsets
         [(c.value, [j - 1 for j in c.indices if j < i] if i == max(c.indices) else [], {})
          for c in sub.conditions if i in c.indices]
         for i in range(1, sub.k + 1)
     ]
+    visit = [(6 + sum(len(before) + 1 + words // 8 for _, before, _ in step)) // 4 for step in steps]
+    charge(visit[0] + words)
 
     def walk(prefix: list[int]) -> int:
         allowed = (1 << x + 1) - 2
@@ -119,26 +136,20 @@ def _scan(sub: ConditionSet, x: int) -> int:
             for j in before:
                 g = gcd(g, prefix[j])
             if g not in bitsets:
+                charge(words * (1 + x // value))  # each bit is added to the sum so far
                 bitsets[g] = sum(1 << n for n in range(value, x + 1, value) if not g or gcd(g, n) == value)
             allowed &= bitsets[g]
         if len(prefix) == sub.k - 1:
             return allowed.bit_count()
+        charge(allowed.bit_count() * visit[len(prefix) + 1])
         return sum(walk(prefix + [n]) for n in _bits(allowed))
 
     return walk([])
 
 
-def _exponent_cap(p: int, top: int, x: int) -> int:
-    """min(top + 1, floor(log_p x)) for top the largest order of p in a
-    target: the largest exponent of p in any d_i <= x with g_p != 0.  The
-    walk's crossover rule reads it."""
-    cap, power = 0, p
-    while cap <= top and power <= x:
-        cap, power = cap + 1, power * p
-    return cap
-
-
-def _local_patterns(cores: Iterable[int]) -> tuple[list[int], list[int]]:
+def _local_patterns(
+    cores: Iterable[int], charge: Callable[[int], None] = lambda steps: None, limit: float = inf
+) -> tuple[list[int], list[int]]:
     """The index sets S with g(S) != 0, as ascending bitmasks, and their
     weights g(S): the Mobius inversion of "S holds no whole core" on the
     Boolean lattice (Rota 1964), 1 at the empty set.  At a prime with forced
@@ -147,32 +158,38 @@ def _local_patterns(cores: Iterable[int]) -> tuple[list[int], list[int]]:
     cores are the condition sets.
 
     Only the minimal cores matter, and g(S) is the sum of (-1)^|F| over the
-    families F of them whose union is S: one pass over the nonzero weights
-    per core, which stay on the unions of cores.
+    families F of them whose union is S: one pass over the weights per core,
+    which stay on the unions of cores.  Each pass is charged before it runs,
+    and two empty lists come back once the unions pass limit entries.
     """
     cores = set(cores)
+    charge(len(cores) ** 2 // 16)  # the minimality tests
     weights = {0: 1}
     get = weights.get
     for core in cores:
         if any(c != core and c & core == c for c in cores):
             continue  # holding core means holding a smaller one
+        charge(len(weights))
         for s, w in zip(list(weights), list(weights.values())):  # no tuple per entry kept
             u = s | core
             weights[u] = get(u, 0) - w
+        if len(weights) > limit:
+            return [], []
     sets = sorted(filter(get, weights))
     return sets, list(map(weights.__getitem__, sets))
 
 
-def _walk(sub: ConditionSet, x: int) -> int | None:
+def _walk(sub: ConditionSet, x: int, budget: int = _COUNT_STEPS) -> int | None:
     """Solutions in [1, x]^m of sub, by the series sum of g(d) *
     prod_i floor(x / d_i) over d in [1, x]^m; None, before any summing,
     where the box scan is the better kernel.
 
-    The walk declines m > 16, a target prime past the _TABLE_LIMIT rule,
-    and m > 4 when more than half of the 2^m index sets S have g(S) != 0:
-    its node count grows with the nonzero patterns, the scan's cost with
+    The walk declines m > 16, and m > 4 when every pair of indices is a
+    condition or more than half of the 2^m index sets S have g(S) != 0: its
+    node count grows with the nonzero patterns, the scan's cost with
     x^(m-1), and complete pairwise systems with m >= 5 sit on the scan's
-    side (timings in CHANGES.md).
+    side (timings in CHANGES.md).  The generic table stops early once the
+    unions of conditions, which hold those S, pass three quarters of the sets.
 
     The target primes' tables come first, from their cores: each row S is
     a divisor vector p^(v_i + S_i) that merges the partial products into
@@ -186,21 +203,27 @@ def _walk(sub: ConditionSet, x: int) -> int | None:
     one at a time below about 4 sqrt(y), where runs are short, and above
     that over runs of equal quotients floor(y_i / q), counting each run's
     primes by bisection (Deleglise and Rivat 1996): O(sqrt(y)) steps, not
-    pi(y).  Every term is an exact Python int.
+    pi(y).  Every term is an exact Python int.  Every table entry, node
+    merge, sieved number, node and run is charged before the walk makes it,
+    and the single primes of a pattern as their loop ends: at most
+    pi(4 sqrt(x)) of them.
     """
     m = sub.k
     if m > _WALK_MAX_ACTIVE:
         return None
+    charge = _meter("walk", budget)
     special = relevant_primes(sub)
     targets = []
     for p in special:
         orders, forced = _orders(sub, p)
-        if (_exponent_cap(p, max(forced.values()), x) + 1) ** m > _TABLE_LIMIT:
-            return None
         targets.append((p, forced, core_masks(orders, forced)[1]))
-    sets, set_weights = _local_patterns(sub.edge_masks)
-    if m > 4 and 2 * len(set_weights) > 1 << m:
+    masks = sub.edge_masks
+    if m > 4 and sum(e.bit_count() == 2 for e in masks) == m * (m - 1) // 2:
+        return None  # every pair is a condition: no unions needed
+    sets, set_weights = _local_patterns(masks, charge, 3 << m - 2 if m > 4 else inf)
+    if m > 4 and (not sets or 2 * len(sets) > 1 << m):
         return None
+    charge(x // 16)  # the sieve to x and its list of primes (about 100 MB at most), before any node
 
     nodes = {(x,) * m: 1}
     for p, forced, cores in targets:
@@ -210,8 +233,9 @@ def _walk(sub: ConditionSet, x: int) -> int | None:
         fits = sum(1 << i for i, d in enumerate(low) if d * p <= x)
         table = [
             (tuple(d * p if s >> i & 1 else d for i, d in enumerate(low)), g)
-            for s, g in zip(*_local_patterns(c for c in cores if not c & ~fits))
+            for s, g in zip(*_local_patterns((c for c in cores if not c & ~fits), charge))
         ]
+        charge(len(nodes) * len(table) * (1 + m // 4))
         merged: dict[tuple[int, ...], int] = {}
         for y, w in nodes.items():
             for divisors, g in table:
@@ -220,10 +244,10 @@ def _walk(sub: ConditionSet, x: int) -> int | None:
                     merged[child] = merged.get(child, 0) + w * g
         nodes = {y: w for y, w in merged.items() if w}
 
-    masks = sub.edge_masks
-    minimal = {e for e in masks if not any(f != e and f & e == f for f in masks)}
+    minimal = {e for e in masks if not any(f != e and f & e == f for f in masks)}  # charged in the generic table
     edges = [operator.itemgetter(*(i for i in range(m) if e >> i & 1)) for e in minimal]  # two or more each
     members: dict[int, list[int]] = {}  # filled as patterns first go live
+    charge(len(nodes))  # a call per node
     skip = set(special)
     ps = [p for p in primes_up_to(x) if p not in skip]
     ps.append(x + 1)  # never fits
@@ -237,6 +261,7 @@ def _walk(sub: ConditionSet, x: int) -> int | None:
         if not big:
             return 0
         live = [(s, g) for s, g in patterns if s & big == s]
+        charge(len(patterns) // 16 + 6 * len(live))
         terms, total, whole = 0, 0, prod(y)
         for s, g in live:
             inside = members.get(s) or members.setdefault(s, [i for i in range(m) if s >> i & 1])
@@ -254,11 +279,13 @@ def _walk(sub: ConditionSet, x: int) -> int | None:
                 j += 1
                 q = ps[j]
             rest = g * whole // prod(ys)
-            top = 16 * max(ys)
+            top, first = 16 * max(ys), j
             while q <= limit and q * q <= top:  # runs below 4 sqrt(y) hold a prime or two: one at a time
                 terms += rest * prod([v // q for v in ys])
                 j += 1
                 q = ps[j]
+            # those primes as their loop ends, and a run per change of a quotient at most
+            charge(j - first + (3 + 3 * sum(v // q - v // limit for v in ys) if q <= limit else 0))
             while q <= limit:  # runs of primes with equal quotients
                 quotients = [v // q for v in ys]
                 last = min(map(operator.floordiv, ys, quotients))
@@ -328,9 +355,10 @@ def nymann_count(k: int, x: int) -> int:
 
 
 def _normalized(gap: float, x: int, exponent: int) -> float:
-    if x == 1 and exponent > 0:
-        return 0.0 if gap == 0.0 else inf
-    return gap * x / log(x) ** exponent if exponent else gap * x
+    try:
+        return gap * x / log(x) ** exponent if exponent else gap * x
+    except (ZeroDivisionError, OverflowError):  # log 1 = 0 under a power, or x past the float range
+        return inf if gap else 0.0
 
 
 def empirical_report(cs: ConditionSet, x: int, density_result: DensityResult | float) -> CountReport:

@@ -10,8 +10,9 @@ and the subset Mobius transform over all 2^m index sets,
 the subset-sum oracles walk every independent subset one by one, the
 Euler-product oracle evaluates the polynomial with np.polyval and sums
 with math.fsum each block of the stdlib sieve's primes, split on the fixed
-grid, the Mobius oracle factors by trial division, and the totient oracle
-sieves with the product formula.
+grid, the Mobius oracle factors by trial division, the totient oracle
+sieves with the product formula, and README's system is counted one middle
+coordinate at a time, by inclusion-exclusion over its primes.
 """
 
 from __future__ import annotations
@@ -76,6 +77,16 @@ def naive_local_patterns(
         steps[:, 1:] -= steps[:, :-1]  # numpy buffers the overlap
     where = np.flatnonzero(g)
     return np.stack([a[where] for a in digits], axis=1), g[where].tolist()
+
+
+def exponent_cap(p: int, top: int, x: int) -> int:
+    """min(top + 1, floor(log_p x)) for top the largest order of p in a
+    target: the largest exponent of p in any d_i <= x with g_p != 0, and so
+    the edge of the dense grid that naive_local_patterns must cover."""
+    cap, power = 0, p
+    while cap <= top and power <= x:
+        cap, power = cap + 1, power * p
+    return cap
 
 
 def dense_local_patterns(cores, m: int) -> tuple[list[int], list[int]]:
@@ -252,6 +263,30 @@ def naive_euler_product(poly: FactorPolynomial, cutoff: int, special=()):
                 continue
         log_blocks.append(fsum(np.log(np.polyval(poly.coefficients[::-1], 1.0 / block))))
     return exp(fsum(log_blocks)), largest, exact
+
+
+def readme_count(x: int) -> int:
+    """Solutions in [1, x]^3 of README's system gcd(n1, n2) = 6, gcd(n2, n3) = 10,
+    one n2 at a time: n2 runs over the multiples of 30 up to x, n1 = 6a with
+    a <= x // 6 prime to n2 / 6, and n3 = 10b with b <= x // 10 prime to n2 / 10."""
+    return sum(coprime_count(x // 6, n2 // 6) * coprime_count(x // 10, n2 // 10) for n2 in range(30, x + 1, 30))
+
+
+def coprime_count(bound: int, modulus: int) -> int:
+    """#{a <= bound : gcd(a, modulus) = 1}, by inclusion-exclusion: the sum of
+    mu(d) * (bound // d) over the products d of distinct primes of modulus,
+    found by trial division."""
+    terms = {1: 1}  # d -> mu(d)
+    n, p = modulus, 2
+    while n > 1:
+        if p * p > n:
+            p = n
+        if n % p == 0:
+            terms.update({d * p: -mu for d, mu in list(terms.items())})
+            while n % p == 0:
+                n //= p
+        p += 1
+    return sum(mu * (bound // d) for d, mu in terms.items())
 
 
 def totients_up_to(n: int) -> list[int]:

@@ -144,7 +144,7 @@ from gcdcensus.cli import main
 from gcdcensus.primes import factorize
 good, broken, bad, pairs = sys.argv[1:]
 codes = [main(["check", good]), main(["witness", good]), main(["check", broken])]
-codes.append(main(["count", good, "--limit", "2155"]))
+codes.append(main(["count", good, "--limit", "1000000000000"]))  # refused before any sieving
 try:
     main(["constant", good, "--cover", "1"])
 except SystemExit as exc:
@@ -440,8 +440,34 @@ class TestCountVerify:
         assert out[1] == "count 25"
         assert out[2] == "density 1"
 
-    def test_count_guard_exit(self, write_doc):
-        assert main(["count", write_doc(PAIR2), "--limit", "10000000"]) == 3
+    def test_count_guard_exit(self, write_doc, capsys):
+        assert main(["count", write_doc(PAIR2), "--limit", str(10**12)]) == 3
+        assert "count's walk needs over" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_count_too_long_to_print_is_resource_exit(self, write_doc, capsys, fmt):
+        # x**k with no conditions: no kernel runs, but the count has 6001 digits
+        doc = {"k": 2, "conditions": []}
+        assert main(["count", write_doc(doc), "--limit", str(10**3000), "--format", fmt]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "too long to print" in captured.err
+
+    @pytest.mark.parametrize(
+        "doc, count",
+        [
+            ({"k": 2, "conditions": []}, 10**800),  # x**k
+            ({"k": 2, "conditions": [{"indices": [1, 2], "gcd": str(10**500)}]}, 0),  # the witness is above x
+        ],
+        ids=["no-conditions", "witness-above-x"],
+    )
+    def test_verify_past_the_float_range(self, write_doc, capsys, doc, count):
+        # no kernel runs, the gap is 0 (the second constant underflows), and x * gap
+        # overflows a float: the normalized errors read 0
+        argv = ["verify", write_doc(doc), "--limit", str(10**400), "--prime-bound", "100", "--format", "json"]
+        assert main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["count"], out["gap"], out["normalized_error"], out["sharper_normalized_error"]) == (count, 0, 0, 0)
 
     def test_verify_json_fields(self, write_doc, capsys):
         code = main(
@@ -520,6 +546,32 @@ class TestStdinAndThreads:
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(PAIR2)))
         assert main(["count", "-", "--limit", "10"]) == 0
         assert "count 63" in capsys.readouterr().out
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts the tasks in /proc/self/task")
+    @pytest.mark.parametrize("preset", [None, "2"])
+    def test_numpy_loads_without_a_blas_thread_pool(self, write_doc, preset):
+        # the Euler product's worker thread has ended once main returns, so one
+        # task is left unless OpenBLAS started its own pool as numpy loaded
+        script = """
+import contextlib, io, json, os, sys
+from gcdcensus.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = main(["constant", sys.argv[1], "--prime-bound", "3000001"])
+print(json.dumps([rc, "numpy" in sys.modules, len(os.listdir("/proc/self/task")), os.environ["OPENBLAS_NUM_THREADS"]]))
+"""
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        src = os.path.dirname(os.path.dirname(gcdcensus.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", script, write_doc(GOOD)], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert run.returncode == 0, run.stderr
+        rc, loaded, tasks, threads = json.loads(run.stdout)
+        assert (rc, loaded, threads) == (0, True, preset or "1")
+        if preset is None:
+            assert tasks == 1
 
 
 class TestStartup:

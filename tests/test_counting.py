@@ -1,6 +1,7 @@
 """Exact counters against independent enumeration and Mobius oracles."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -25,9 +26,12 @@ from gcdcensus.padic import core_masks, valuations
 
 from helpers import (
     condition_sets,
+    coprime_count,
     dense_local_patterns,
+    exponent_cap,
     naive_count,
     naive_local_patterns,
+    readme_count,
     totients_up_to,
     trial_mobius,
     trial_order,
@@ -48,6 +52,9 @@ def path(k: int, target: int = 1) -> ConditionSet:
 
 def star(k: int, target: int = 1) -> ConditionSet:
     return condition_set(k, {(1, i): target for i in range(2, k + 1)})
+
+
+README = condition_set(3, {(1, 2): 6, (2, 3): 10})
 
 
 @st.composite
@@ -102,8 +109,32 @@ class TestCount:
         assert count(condition_set(2, {(1, 2): 11}), 10) == 0
 
     def test_guard(self):
-        with pytest.raises(ResourceLimitError):
-            count(condition_set(2, {(1, 2): 1}), 10**6)
+        with pytest.raises(ResourceLimitError, match="walk"):
+            count(condition_set(2, {(1, 2): 1}), 10**12)
+
+    def test_huge_bound_is_refused_before_sieving(self, monkeypatch):
+        def no_sieve(x):
+            raise AssertionError(f"sieved to {x}")
+
+        monkeypatch.setattr(counting, "primes_up_to", no_sieve)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=r"walk needs over \d+ steps, past its budget of 3000000"):
+            count(README, 10**12)
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("x", [2155, 10**4, 10**5])
+    def test_readme_system_past_the_full_box(self, x):
+        assert count(README, x) == readme_count(x)
+
+    def test_readme_oracle_values(self):
+        assert all(
+            coprime_count(b, m) == sum(gcd(a, m) == 1 for a in range(1, b + 1)) for b in range(40) for m in range(1, 70)
+        )
+        assert readme_count(2154) == 1441689
+        assert readme_count(10**5) == 143214196177
+
+    def test_coprime_pairs_at_a_million(self):
+        assert count(condition_set(2, {(1, 2): 1}), 10**6) == nymann_count(2, 10**6) == 607927104783
 
     def test_bound_below_one_rejected(self):
         with pytest.raises(ValueError, match="x must be >= 1"):
@@ -257,7 +288,7 @@ class TestWalk:
             sets, weights = counting._local_patterns(core_masks(g, v)[1])
             shifted = {tuple(v[i + 1] + (s >> i & 1) for i in range(cs.k)): w for s, w in zip(sets, weights)}
             for x in (1, p, p**top - 1, p**top, p ** (top + 1), p ** (top + 2)):
-                cap = counting._exponent_cap(p, top, x)
+                cap = exponent_cap(p, top, x)
                 exponents, grid_weights = naive_local_patterns(list(cs.edge_masks), orders, cap, cs.k)
                 expected = dict(zip(map(tuple, exponents.tolist()), grid_weights))
                 assert {a: w for a, w in shifted.items() if p ** max(a) <= x} == expected
@@ -272,9 +303,11 @@ class TestWalk:
             (pairwise(5), 10, False),  # most index sets carry a weight
             (pairwise(6, 2), 8, False),
             (path(17), 2, False),  # more than 16 active coordinates
-            (path(13, 2), 4, False),  # (cap + 1)^m = 3^13 > _TABLE_LIMIT at p = 2
-            (path(10, 4), 8, True),  # (cap + 1)^m = 4^10 = _TABLE_LIMIT: walked, count 144
-            (path(11, 4), 8, False),  # 4^11 > _TABLE_LIMIT: declined, count 233
+            # every index holds 2 or 4 (2^2 or 2^3 at x = 8): tables of up to 2^m rows at
+            # p = 2, walked well within the step budget
+            (path(13, 2), 4, True),
+            (path(10, 4), 8, True),  # count 144
+            (path(11, 4), 8, True),  # count 233
         ],
     )
     def test_dispatch_sides_agree_with_scan(self, cs, x, walk):
@@ -314,6 +347,55 @@ class TestWalk:
     )
     def test_count_dense_systems_match_scan(self, cs, x, expected):
         assert counting._walk(cs, x) == count(cs, x) == counting._scan(cs, x) == expected
+
+
+class TestBudget:
+    """Both kernels charge their work, in steps of about 1 us, to one budget."""
+
+    def test_small_budget_refuses_the_walk(self):
+        with pytest.raises(ResourceLimitError, match="count's walk needs over .* budget of 50000"):
+            counting._walk(README, 10**5, 50_000)
+        assert counting._walk(README, 10**5) == readme_count(10**5)
+
+    def test_small_budget_refuses_the_scan(self):
+        assert counting._walk(path(20), 3) is None  # more than 16 active coordinates
+        with pytest.raises(ResourceLimitError, match="count's scan needs over .* budget of 100000"):
+            counting._scan(path(20), 3, 100_000)
+
+    @pytest.mark.parametrize(
+        "kernel, cs, x",
+        [
+            ("_walk", README, 2000),
+            ("_walk", path(10, 4), 8),
+            ("_walk", pairwise(4), 30),
+            ("_scan", pairwise(5), 10),
+            ("_scan", path(17), 2),
+            ("_scan", README, 300),
+        ],
+    )
+    def test_a_finished_kernel_stays_within_its_budget(self, kernel, cs, x, monkeypatch):
+        charges = []
+        meter = counting._meter
+
+        def recorded(name, budget):
+            charge = meter(name, budget)
+
+            def record(steps):
+                charges.append(steps)
+                charge(steps)
+
+            return record
+
+        monkeypatch.setattr(counting, "_meter", recorded)
+        expected = getattr(counting, kernel)(cs, x)
+        spent = sum(charges)
+        assert 0 < spent <= counting._COUNT_STEPS
+        # a budget one step short refuses at the very charge that passes it
+        charges.clear()
+        with pytest.raises(ResourceLimitError):
+            getattr(counting, kernel)(cs, x, spent - 1)
+        assert sum(charges[:-1]) <= spent - 1 < sum(charges)
+        assert getattr(counting, kernel)(cs, x, spent) == expected
 
 
 class TestScan:
