@@ -3,7 +3,8 @@
 Decide whether a system of conditions of the form
 gcd{n_i : i in T} == f(T) has any solution, construct the canonical
 witness, count solutions in a box exactly, and evaluate the asymptotic
-density constant as an Euler product with a certified truncation error.
+density constant as an Euler product, an exact head over the small primes
+times a prime-zeta tail, with an interval certified to hold it.
 
 Importing the package runs none of its modules.  Each is registered in
 sys.modules through importlib.util.LazyLoader and runs on first attribute
@@ -37,9 +38,7 @@ def _register(name: str) -> None:
     """Put gcdcensus.<module> in sys.modules and here, its code not yet run.
 
     The cli is left out: `python -m gcdcensus.cli` warns when it finds its
-    module already in sys.modules.  Python 3.11's lazy modules take no lock
-    when they run, so a module a worker thread uses must have run before
-    the thread starts.
+    module already in sys.modules.
     """
     spec = importlib.util.find_spec(f"{__name__}.{name}")
     spec.loader = importlib.util.LazyLoader(spec.loader)

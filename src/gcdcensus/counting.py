@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 from .errors import ResourceLimitError
 from .model import Condition, ConditionSet, Record, _bits, canonical_witness, delta, isolated_indices, neighbors
 from .padic import _orders, core_masks, relevant_primes
-from .primes import primes_up_to
+from .primes import mobius_up_to, primes_up_to
 
 if TYPE_CHECKING:
     from .density import DensityResult
@@ -298,23 +298,13 @@ def _walk(sub: ConditionSet, x: int, budget: int = _COUNT_STEPS) -> int | None:
     return sum(w * prod(y) + below(list(y), w, 0, patterns) for y, w in nodes.items())
 
 
-def _mobius(n: int) -> list[int]:
-    """mu(0..n) as a list, mu(0) = 0: each prime p <= n negates the entries
-    at its multiples and zeroes those at the multiples of p^2."""
-    mu = [0] + [1] * n
-    for p in primes_up_to(n):
-        mu[p::p] = [-v for v in mu[p::p]]
-        mu[p * p :: p * p] = [0] * (n // (p * p))
-    return mu
-
-
 def _mertens(x: int) -> Callable[[int], int]:
     """M(n) = mu(1) + ... + mu(n) at n = 0 and every n = x // j.  Up to
-    s = x^(2/3) it reads the partial sums of _mobius(s); above s, for n
+    s = x^(2/3) it reads the partial sums of mobius_up_to(s); above s, for n
     ascending, M(n) = 1 - sum over d >= 2 of M(n // d), over the runs of
     equal n // d (Deleglise and Rivat 1996): O(x^(2/3)) steps in all."""
     s = int(x ** (2 / 3))
-    small = list(accumulate(_mobius(s)))
+    small = list(accumulate(mobius_up_to(s)))
     big: dict[int, int] = {}
     for n in (x // j for j in range(x // (s + 1), 0, -1)):
         total, d = 1, 2

@@ -1,37 +1,40 @@
-"""The density constant as a truncated Euler product with a certified tail.
+"""The density constant as an Euler product: an exact head and a prime-zeta tail.
 
 The fraction of k-tuples in [1, x]^k satisfying an admissible condition
 system tends to a product over the primes of exact local factors: the
 probability that independent geometric p-adic orders meet every
 condition at p.  One elimination kernel sums each factor over the index
 sets holding no whole core (padic.core_masks); at the primes dividing no
-target that gives a polynomial in t = 1/p with integer coefficients,
-c_0 = 1 and c_1 = 0.  Target primes and primes below 50 enter the
-product exactly, the rest in floats, summed exactly per sieve block
-(math.fsum's value bit for bit), and the block sums by math.fsum.  Both
-sums are correctly rounded from exact terms, so the order of the blocks
-cannot move a bit, and the sieve segments are sieved and folded on two
-threads where two CPUs are free.  Convergence is like sum 1/p^2:
-truncating at P >= 2C, with C the sum of |c_j| for j >= 2, leaves at
-most 2C/P in the logarithm and certifies the reported interval.
+target that gives a polynomial q(t) in t = 1/p with integer coefficients,
+c_0 = 1 and c_1 = 0.
+
+The product splits at H = min(prime cutoff, 1000).  The head multiplies
+the exact factors at the primes p <= H and at the target primes, rounded
+only at the working precision of `decimal`.  The tail over the other
+primes is exp of sum_j a_j P(j), where log q(t) = sum_j a_j t^j and P(s)
+is the prime zeta function over the primes p > H, a Mobius sum of logs
+of zeta(ms) times the Euler factors at p <= H (H. Cohen 1998; Ettahri,
+Ramare and Surel, Math. Comp. 90, 2021).  zeta comes from Euler-Maclaurin.
+Fujiwara's bound R on the roots of t^d q(1/t) bounds the a_j, so H >= 2R
+bounds the series' dropped terms; the reported interval carries that
+bound and a rounding budget, rounded outward, and holds the full product.
 """
 
 from __future__ import annotations
 
 import operator
-import os
+from bisect import bisect_left
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
-from math import comb, exp, fsum, log
-from typing import TYPE_CHECKING, Callable, Iterable
+from itertools import count
+from math import comb, exp, inf, log, log10, nextafter, prod
+from typing import Iterable
 
 from .admissibility import witness
 from .errors import CutoffTooSmallError, ResourceLimitError
 from .model import MAX_K, ConditionSet, Record, _bits
 from .padic import LocalView, _orders, core_masks, relevant_primes
-from .primes import SievePlan, primes_up_to, sieve_segment
-
-if TYPE_CHECKING:
-    import numpy as np
+from .primes import is_prime, mobius_up_to, primes_up_to
 
 # Live states the subset sums may hold after any index: refusals took
 # 0.1-0.3 s and at most 60 MB on a 2-vCPU VM.
@@ -39,21 +42,17 @@ MAX_STATES = 1 << 16
 
 _FIELD = 64  # bits per packed count; a count of j-subsets of 64 indices is below 2^61
 
-# The segmented sieve behind the product takes about 70 s to reach this
-# (2-vCPU VM), threads or not: there the crossing loop is the work.
-MAX_PRIME_CUTOFF = 10**10
-
-# Threads folding sieve segments in _euler_product, the caller's included.
-# The crossing loop in sieve_segment holds the GIL, so only the numpy part
-# of a segment overlaps.  On a 2-vCPU VM two threads took _euler_product to
-# 10^8 from 0.29 to 0.22 s (min of 9), and a third on the same two CPUs
-# gained nothing; more than two are unmeasured.
-_PRODUCT_THREADS = 2
-
-# Primes below this get exact factors, as float poly(1/p) cancels there, and are traced.
+# Primes below this are traced, with the target primes.
 _TRACE_LIMIT = 50
 
-DEFAULT_PRIME_CUTOFF = 10**6
+# The head/tail split: the head takes the primes up to the cutoff, at most this.
+DEFAULT_PRIME_CUTOFF = 1000
+
+# The tail's dropped terms, and apart from them its roundings, stay below 10^-_TAIL_DIGITS.
+_TAIL_DIGITS = 20
+
+# B_0, B_1, ...: Bernoulli numbers for Euler-Maclaurin, extended on demand and kept per process.
+_BERNOULLI = [Fraction(1), Fraction(-1, 2)]
 
 
 class FactorPolynomial(Record):
@@ -92,20 +91,11 @@ class FactorPolynomial(Record):
             acc = acc * p + c
         return Fraction(acc, p**self.degree)
 
-    def __call__(self, t):
-        """Float value at t; accepts scalars or numpy arrays, and Horner
-        over an array works in place in one new buffer."""
-        acc = 0.0 * t  # broadcasts over arrays
-        acc += float(self.coefficients[-1])
-        for c in reversed(self.coefficients[:-1]):
-            acc *= t
-            acc += c
-        return acc
-
 
 class DensityResult(Record):
-    """Truncated Euler product, its certified enclosure, the exact factors
-    it used as ascending (p, factor) pairs, and the tail constant C."""
+    """The density constant, an interval certified to hold it, the largest
+    prime of the exact head, the exact factors at the primes below 50 and at
+    the target primes as ascending (p, factor) pairs, and the tail constant C."""
 
     value: float
     lower: float
@@ -190,201 +180,170 @@ def generic_factor_polynomial(cs: ConditionSet) -> FactorPolynomial:
     return FactorPolynomial(tuple(coeffs))
 
 
-def _log_fraction(f: Fraction) -> float:
-    # float(f) is correctly rounded; math.log of the big ints never underflows
-    x = float(f)
-    return log(x) if x > 1e-300 else log(f.numerator) - log(f.denominator)
-
-
-def _exact_sum(x: np.ndarray) -> float:
-    """The correctly rounded sum of x, so math.fsum(x) bit for bit.
-
-    Each nonzero x is m 2^(e-53) with an integer |m| < 2^53.  In exponent
-    windows of 10 bits the shifted m are summed as int64 halves below 2^36,
-    which cannot overflow for fewer than 2^26 terms; one Fraction rounds.
-    When all of x falls in one window, as for most sieve blocks, the terms
-    are shifted in place in the mantissa buffer, with no per-window copies.
-    """
-    import numpy as np
-    if not np.isfinite(x).all():
-        return float(x.sum())  # inf and nan have no exact sum; let them through
-    if not x.all():
-        x = x[x != 0]
-    m, e = np.frexp(x)
-    if not e.size:
-        return 0.0
-    e0 = int(e.min())
-    if int(e.max()) - e0 < 10:  # one window, as for most sieve blocks
-        e += 53 - e0  # each term m 2^(e-e0) is then an integer below 2^62
-        np.ldexp(m, e, out=m)
-        del e  # before the int64 copy, which sets the peak memory
-        m = m.astype(np.int64)
-        hi = int((m >> 26).sum())
-        m &= 0x3FFFFFF
-        total = (hi << 26) + int(m.sum())
-    else:
-        m = np.ldexp(m, 53, out=m).astype(np.int64)
-        window, shift = np.divmod(e - e0, 10)
-        total = 0
-        for w in range(int(window.max()) + 1):
-            ms, s = m[window == w], shift[window == w]
-            hi, lo = int(((ms >> 26) << s).sum()), int(((ms & 0x3FFFFFF) << s).sum())
-            total += ((hi << 26) + lo) << (10 * w)
-    return float(total * Fraction(2) ** (e0 - 53))
-
-
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _map_segments(
-    plan: SievePlan, fold: Callable[[np.ndarray], tuple[int, float]]
-) -> list[tuple[int, float]]:
-    """fold(sieve_segment(plan, lo)) for every lo in plan.starts, in no set order.
-
-    Segments are dealt round-robin to the calling thread and up to
-    _PRODUCT_THREADS - 1 workers.  A worker's exception is re-raised here;
-    one here (Ctrl-C included) stops the workers between segments.  Every
-    worker is joined before this returns.  What the workers call has run
-    before they start: gcdcensus runs its modules lazily, and a lazy module
-    takes no lock as it runs (primes ran with this module's imports).
-    """
-    starts = plan.starts
-    n = max(1, min(_available_cpus(), _PRODUCT_THREADS, len(starts)))
-    import contextvars
-    import threading
-
-    out: list[tuple[int, float]] = []
-    errors: list[BaseException] = []
-    stop = threading.Event()
-
-    def run(first: int) -> None:
-        try:
-            for lo in starts[first::n]:
-                if stop.is_set():
-                    return
-                out.append(fold(sieve_segment(plan, lo)))
-        except BaseException as exc:  # stops every thread between segments
-            errors.append(exc)
-            stop.set()
-
-    workers = []
-    try:
-        for j in range(1, n):
-            # a copy of this context per worker carries numpy's errstate over
-            t = threading.Thread(target=contextvars.copy_context().run, args=(run, j))
-            t.start()
-            workers.append(t)
-        run(0)
-        for t in workers:
-            t.join()
-    finally:  # reached early only by an interrupt outside run, as in a join
-        stop.set()
-        for t in workers:
-            t.join()
-    if errors:
-        raise errors[0]
-    return out
-
-
 def _checked_cutoff(prime_cutoff: int) -> int:
     cutoff = operator.index(prime_cutoff)
-    if cutoff > MAX_PRIME_CUTOFF:
-        raise ResourceLimitError(f"prime cutoff {cutoff} exceeds the {MAX_PRIME_CUTOFF} limit")
+    if cutoff < 2:
+        raise ValueError(f"prime cutoff must be >= 2, got {cutoff}")
     return cutoff
+
+
+def _bernoulli(n: int) -> Fraction:
+    """B_n (B_1 = -1/2), from sum_{i<=n} C(n+1, i) B_i = 0, kept in _BERNOULLI."""
+    while len(_BERNOULLI) <= n:
+        m = len(_BERNOULLI)
+        b = Fraction(0) if m % 2 else -sum(comb(m + 1, i) * b for i, b in enumerate(_BERNOULLI) if b) / (m + 1)
+        _BERNOULLI.append(b)
+    return _BERNOULLI[n]
+
+
+def _zeta(s: int, n: int, tiny: Decimal) -> Decimal:
+    """zeta(s) for an integer s >= 2 in the current decimal context: the terms
+    below n summed, then Euler-Maclaurin from n, whose correction terms stop at
+    the first below tiny.  For real s the remainder is below that term."""
+    total = sum(Decimal(k) ** -s for k in range(1, n))
+    rest = Decimal(n) ** (1 - s)
+    total += rest / (s - 1) + rest / (2 * n)
+    r = rest * s / (2 * n * n)  # s(s+1)...(s+2i-2) n^(1-s-2i) / (2i)! at i = 1
+    for i in count(1):
+        b = _bernoulli(2 * i)
+        term = r * b.numerator / b.denominator
+        if abs(term) < tiny:
+            return total
+        total += term
+        r = r * (s + 2 * i - 1) * (s + 2 * i) / (n * n * (2 * i + 1) * (2 * i + 2))
+
+
+def _log_series(coeffs: tuple[int, ...], terms: int) -> list[int]:
+    """j a_j for j < terms, where log q(t) = sum of a_j t^j and q has
+    coefficients c_j: Newton's identities, j a_j = j c_j - sum_{i<j} i a_i c_{j-i}."""
+    c = list(coeffs) + [0] * terms
+    ja = [0] * terms
+    for j in range(2, terms):
+        ja[j] = j * c[j] - sum(ja[i] * c[j - i] for i in range(2, j - 1))
+    return ja
 
 
 def _euler_product(
     poly: FactorPolynomial, cutoff: int, special: Iterable[tuple[int, Fraction]] = ()
-) -> tuple[float, int, dict[int, Fraction]]:
-    """Product of poly(1/p) over the primes p <= cutoff, with exact factors
-    at the `special` (p, factor) pairs and at the other primes below
-    _TRACE_LIMIT; also the largest prime <= cutoff and those exact factors.
+) -> tuple[float, float, float, int, dict[int, Fraction]]:
+    """The product over all primes of poly(1/p), with exact factors at the
+    `special` (p, factor) pairs: the value, an interval holding it, the
+    largest prime of the head, and the exact factors at the special primes
+    and at the primes below _TRACE_LIMIT.
 
-    Each sieve block's logs are summed by `_exact_sum` (= `fsum`, bit for
-    bit), then the block sums by `fsum`.  Both sums are correctly rounded
-    from exact inputs, so the blocks can be folded in any order, on
-    several threads (`_map_segments`): the block boundaries alone fix the
-    value bit for bit, and callers with the same coefficients and cutoff
-    get the same value.
+    The head multiplies the exact factors at the primes p <= H = min(cutoff,
+    DEFAULT_PRIME_CUTOFF) and at the special primes, rounded at the working
+    precision only.  The tail, over the other primes, is exp of
+    sum_j a_j P(j) less log q(1/p) at the special p > H, where
+    P(s) = sum_m mu(m)/m log(zeta(ms) prod_{p<=H} (1 - p^-ms)) is the sum of
+    p^-s over the primes p > H.  With q the least prime above H and R
+    Fujiwara's bound on the roots of t^d q(1/t), |a_j| <= d R^j / j and
+    P(j) <= q^-j (1 + q/(j-1)), so the terms j >= J add at most
+    d q (R/q)^J / (1 - R/q) to the log; m stops once q^-ms is below the
+    working precision.  H < 2R is refused.
     """
-    import numpy as np
+    head_primes = primes_up_to(min(cutoff, DEFAULT_PRIME_CUTOFF))
+    h = head_primes[-1]
     exact = dict(special)
-    for p in map(int, primes_up_to(min(cutoff, _TRACE_LIMIT - 1))):
+    for p in head_primes[: bisect_left(head_primes, _TRACE_LIMIT)]:
         exact.setdefault(p, poly.value_at(p))
-    skip = sorted(exact)
+    if poly.degree < 2:  # q = 1: the product is that of the special factors, exactly
+        value = prod(exact.values(), start=Fraction(1))
+        return float(value), _to_float(value, -inf), _to_float(value, inf), h, exact
+    coeffs = poly.coefficients
+    root = 2 * max(exp(log(abs(c)) / j) for j, c in enumerate(coeffs[2:], 2) if c)
+    if any(h**j < 4**j * abs(c) for j, c in enumerate(coeffs[2:], 2)):  # h < 2R, in integers
+        raise CutoffTooSmallError(
+            f"prime cutoff {cutoff} puts the head/tail split at {h}, below 2R = {2 * root:.6g},"
+            " where R = 2 max |c_j|^(1/j) bounds the roots of the factor polynomial"
+        )
 
-    def fold(block: np.ndarray) -> tuple[int, float]:
-        # (largest prime, sum of log poly(1/p)) over a block, exact primes left out
-        if not block.size:
-            return 0, 0.0
-        largest = int(block[-1])
-        if block[0] <= skip[-1]:
-            block = block[~np.isin(block, skip)]
-        logs = poly(1.0 / block)
-        del block  # free the primes before the sum
-        return largest, _exact_sum(np.log(logs, out=logs))
+    q = h + 1
+    while not is_prime(q):
+        q += 1
+    ratio = root / q * (1 + 1e-9)  # past the float roundings of R
+    terms = 2
+    while (dropped := poly.degree * q * ratio**terms / (1 - ratio) * (1 + 1e-9)) >= 10.0**-_TAIL_DIGITS:
+        terms += 1
+    ja = _log_series(coeffs, terms)
+    far = [p for p in exact if p > h]
+    weight = 2 + len(far) + sum(map(abs, ja))
+    digits = _TAIL_DIGITS + 7 + len(str(weight))
+    top = int(digits / log10(q))  # q^-n is below the working precision past n = top
+    mu = mobius_up_to(top // 2)
+    with localcontext(Context(prec=digits)):
+        tiny = Decimal(10) ** -digits
+        head, log_tail = Decimal(1), Decimal(0)
+        for p in head_primes + far:
+            f = exact[p] if p in exact else poly.value_at(p)
+            head *= Decimal(f.numerator) / f.denominator
+        for p in far:
+            f = poly.value_at(p)
+            log_tail -= (Decimal(f.numerator) / f.denominator).ln()
+        powers = [Decimal(p) for p in head_primes]
+        logs: dict[int, Decimal] = {}  # log(zeta(n) prod_{p<=H} (1 - p^-n)), by n
+        for j in range(2, terms):
+            prime_zeta = Decimal(0)
+            for m in range(1, top // j + 1):
+                if not mu[m]:
+                    continue
+                n = m * j
+                if n not in logs:
+                    euler = _zeta(n, digits, tiny)
+                    for p in powers:
+                        euler *= 1 - p**-n
+                    logs[n] = euler.ln()
+                prime_zeta += mu[m] * logs[n] / m
+            log_tail += prime_zeta * ja[j] / j
+        value = head * log_tail.exp()
+        # about 10^3 roundings put each log(zeta(n) ...) within 10^(5-digits) and each P(j)
+        # within 10^(6-digits); the head, the logs at the far primes and exp add less
+        slack = Decimal(dropped) + weight * Decimal(10) ** (7 - digits)
+        lower, upper = value * (-slack).exp(), value * slack.exp()
+    return float(value), _to_float(lower, -inf), _to_float(upper, inf), h, exact
 
-    plan = SievePlan(cutoff)
-    blocks = [fold(plan.base), *_map_segments(plan, fold)]
-    log_blocks = [_log_fraction(f) for f in exact.values()] + [s for _, s in blocks]
-    return exp(fsum(log_blocks)), max(p for p, _ in blocks), exact
+
+def _to_float(x: Decimal | Fraction, toward: float) -> float:
+    """x rounded to a float in the direction of toward."""
+    f = float(x)
+    return nextafter(f, toward) if (f < x if toward > 0 else f > x) else f
 
 
 def constant(cs: ConditionSet, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> DensityResult:
-    """Truncated Euler product for the density constant, with certified tail.
+    """The density constant: an exact head over the primes up to
+    min(prime_cutoff, 1000) and the target primes, times the prime-zeta tail.
 
-    Exact rational factors are used at the target primes and the primes
-    below 50; every other prime up to the cutoff goes through the shared
-    polynomial in float arithmetic, with the logs summed exactly per
-    fixed sieve block, as math.fsum would (bit-reproducible).  The cutoff
-    must reach the largest target prime and 2C for the tail bound.
-
-    Raises InadmissibleError for systems with no solutions, and
-    CutoffTooSmallError / ResourceLimitError on guard violations.
+    Raises InadmissibleError for systems with no solutions, ValueError for a
+    cutoff below 2, CutoffTooSmallError when the head stops below 2R, and
+    ResourceLimitError past the subset sums' state cap.
     """
     cutoff = _checked_cutoff(prime_cutoff)
     witness(cs)  # raises InadmissibleError
     poly = generic_factor_polynomial(cs)
-    tail_c = poly.tail_constant
-    special = relevant_primes(cs)
-    if special and cutoff < special[-1]:
-        raise CutoffTooSmallError(
-            f"prime cutoff {cutoff} is below the largest target prime {special[-1]}"
-        )
-    if cutoff < 2 * tail_c:
-        raise CutoffTooSmallError(
-            f"prime cutoff {cutoff} is below 2C = {2 * tail_c}; the tail bound needs P >= 2C"
-        )
-
     special_factors: list[tuple[int, Fraction]] = []
-    for p in special:
+    for p in relevant_primes(cs):
         f = _local_factor(p, *core_masks(*_orders(cs, p)))
         if f <= 0:
             raise AssertionError(f"internal invariant violated: nonpositive factor at p={p}")
         special_factors.append((p, f))
 
-    value, largest, exact = _euler_product(poly, cutoff, special_factors)
-    slack = 2.0 * tail_c / cutoff if tail_c else 0.0
+    value, lower, upper, largest, exact = _euler_product(poly, cutoff, special_factors)
     return DensityResult(
         value=value,
-        lower=value * exp(-slack),
-        upper=value * exp(slack),
+        lower=lower,
+        upper=upper,
         prime_cutoff=largest,
         factor_trace=tuple(sorted(exact.items())),
-        tail_constant=tail_c,
+        tail_constant=poly.tail_constant,
     )
 
 
 def toth_pairwise_constant(k: int, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> float:
     """Closed-form constant for the all-pairs-coprime system on k indices.
 
-    Truncated product of (1-1/p)^(k-1) (1 + (k-1)/p), expanded into exact
-    integer coefficients first; cross-validation oracle for `constant` on
-    the complete pairwise system.
+    The product over p of (1-1/p)^(k-1) (1 + (k-1)/p), expanded into exact
+    integer coefficients first and taken as `constant` takes it;
+    cross-validation oracle for `constant` on the complete pairwise system.
     """
     cutoff = _checked_cutoff(prime_cutoff)
     k = operator.index(k)
@@ -401,7 +360,7 @@ def toth_pairwise_constant(k: int, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> 
 def rwise_constant(k: int, r: int, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> float:
     """Closed-form constant for r-wise coprimality on k indices.
 
-    Truncated product over p of sum_{x=0}^{r-1} C(k,x) p^-x (1-1/p)^(k-x),
+    The product over p of sum_{x=0}^{r-1} C(k,x) p^-x (1-1/p)^(k-x),
     expanded into exact integer coefficients first.
     """
     cutoff = _checked_cutoff(prime_cutoff)

@@ -22,4 +22,5 @@ class ResourceLimitError(RuntimeError):
 
 
 class CutoffTooSmallError(ValueError):
-    """The requested prime cutoff cannot certify the truncation error."""
+    """The requested prime cutoff stops the Euler product's exact head below
+    2R, where the tail's series has no certified bound."""

@@ -1,10 +1,11 @@
-"""Prime machinery: sieves, deterministic primality, integer factorization.
+"""Prime machinery: a sieve, the Mobius function, deterministic primality,
+integer factorization.
 
-Everything here is exact.  `primes_up_to` is a stdlib sieve over the odd
-numbers, for the count's walk, `nymann_count`'s Mobius table and
-factorization.  The Euler product in `density`, alone, consumes millions of
-primes from a numpy segmented sieve over odd numbers, 3-13 presieved (Bays &
-Hudson, BIT 1977), which imports numpy on first use.  `trial_divisors`
+Everything here is exact and pure Python.  `primes_up_to` is a bytearray
+sieve over the odd numbers, for the count's walk, the density constant's
+head, the Mobius table and factorization.  `mobius_up_to` is the one Mobius
+table, for `nymann_count`'s Mertens function and the prime-zeta tail of the
+density constant.  `trial_divisors`
 yields the primes below 10^6 for factorization and for the inadmissibility
 diagnostic, which trial-divides the quotients' lcm before it factors
 anything; it sieves past 1000 only if its caller asks for more.  A cofactor
@@ -18,15 +19,11 @@ with ResourceLimitError.
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import compress
 from math import gcd, isqrt
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from .errors import ResourceLimitError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Trial division handles every factor below this; rho only sees larger ones.
 _TRIAL_LIMIT = 10**6
@@ -52,22 +49,6 @@ _MAX_COFACTOR_BITS = 2048
 # Witnesses proving primality for all n < 3_317_044_064_679_887_385_961_981.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Sieve segment length; it fixes the blocks of the bit-reproducible sums.
-_BLOCK_SIZE = 1 << 20
-
-
-@cache
-def _wheel() -> tuple[np.ndarray, np.ndarray]:
-    """The primes 2-13, and the wheel: j flags 2j+1 prime to 3*5*7*11*13, over one period."""
-    import numpy as np
-    small = np.array([2, 3, 5, 7, 11, 13], dtype=np.int64)
-    wheel = np.ones(15015, dtype=bool)
-    for q in small[1:].tolist():
-        wheel[(q - 1) // 2 :: q] = False
-    small.flags.writeable = wheel.flags.writeable = False  # shared by every caller
-    return small, wheel
-
-
 def primes_up_to(n: int) -> list[int]:
     """All primes <= n, ascending, from a bytearray sieve over the odd numbers."""
     if n < 2:
@@ -82,48 +63,14 @@ def primes_up_to(n: int) -> list[int]:
     return [2, *compress(range(1, n + 1, 2), odd)]
 
 
-class SievePlan:
-    """What every segment of a sieve to `limit` shares, built once: the base
-    primes <= isqrt(limit), the sieving primes above 13 with their slots
-    among the odd numbers, the wheel pattern, and the segment starts
-    isqrt(limit) + 1 + j*_BLOCK_SIZE."""
-
-    __slots__ = ("limit", "base", "starts", "sieving", "half", "sieving_list", "pattern")
-
-    def __init__(self, limit: int):
-        import numpy as np
-        small, wheel = _wheel()
-        root = isqrt(max(limit, 0))
-        self.limit = limit
-        self.base = np.array(primes_up_to(root), dtype=np.int64)
-        self.starts = range(root + 1, limit + 1, _BLOCK_SIZE)
-        self.sieving = self.base[self.base > small[-1]]
-        self.half = (self.sieving - 1) // 2
-        self.sieving_list = self.sieving.tolist()
-        # the wheel, long enough for a segment at any phase
-        self.pattern = np.resize(wheel, wheel.size + min(_BLOCK_SIZE, limit - root) // 2 + 1)
-
-
-def sieve_segment(plan: SievePlan, lo: int) -> np.ndarray:
-    """The primes in [lo, lo + _BLOCK_SIZE) up to plan.limit, for lo in plan.starts.
-
-    Possibly empty.  It only reads the plan, so segments can be sieved in any
-    order, on any thread: a slice of the wheel with the base primes above 13
-    crossed off.
-    """
-    import numpy as np
-    small, wheel = _wheel()
-    hi = min(lo + _BLOCK_SIZE, plan.limit + 1)
-    a = lo // 2  # segment slot i holds the odd number 2(a + i) + 1
-    segment = plan.pattern[a % wheel.size :][: hi // 2 - a].copy()
-    for p, i in zip(plan.sieving_list, ((plan.half - a) % plan.sieving).tolist()):
-        segment[i::p] = False
-    primes = np.flatnonzero(segment).astype(np.int64, copy=False)
-    primes *= 2
-    primes += 2 * a + 1
-    if lo < 17:  # 2 and the wheel primes are not in the pattern
-        primes = np.concatenate([small[(lo <= small) & (small < hi)], primes])
-    return primes
+def mobius_up_to(n: int) -> list[int]:
+    """mu(0..n) as a list, mu(0) = 0: each prime p <= n negates the entries
+    at its multiples and zeroes those at the multiples of p^2."""
+    mu = [0] + [1] * n
+    for p in primes_up_to(n):
+        mu[p::p] = [-v for v in mu[p::p]]
+        mu[p * p :: p * p] = [0] * (n // (p * p))
+    return mu
 
 
 def is_prime(n: int) -> bool:

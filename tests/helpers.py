@@ -8,9 +8,10 @@ oracle sums capped geometric valuation probabilities directly, the
 local-pattern oracles take finite differences on a dense exponent grid
 and the subset Mobius transform over all 2^m index sets,
 the subset-sum oracles walk every independent subset one by one, the
-Euler-product oracle evaluates the polynomial with np.polyval and sums
-with math.fsum each block of the stdlib sieve's primes, split on the fixed
-grid, the Mobius oracle factors by trial division, the totient oracle
+truncated Euler product evaluates the polynomial with np.polyval and sums
+the logs with math.fsum, the completed product takes mpmath's Taylor
+series and prime zeta function past primes found by trial division, the
+Mobius oracle factors by trial division, the totient oracle
 sieves with the product formula, and README's system is counted one middle
 coordinate at a time, by inclusion-exclusion over its primes.
 """
@@ -20,13 +21,13 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import comb, exp, fsum, gcd, isqrt
+from math import comb, exp, fsum, gcd, isqrt, log
 
 import numpy as np
 from hypothesis import strategies as st
 
-from gcdcensus import AdmissibilityReport, Condition, ConditionSet, condition_set, primes
-from gcdcensus.density import _TRACE_LIMIT, FactorPolynomial, _log_fraction
+from gcdcensus import AdmissibilityReport, Condition, ConditionSet, condition_set
+from gcdcensus.density import FactorPolynomial
 from gcdcensus.model import enumerate_independent_subsets, neighbors
 from gcdcensus.padic import LocalView
 from gcdcensus.primes import primes_up_to
@@ -239,30 +240,56 @@ def naive_local_factor(view: LocalView) -> Fraction:
     return total / Fraction(p) ** sum(view.v.values())
 
 
-def naive_euler_product(poly: FactorPolynomial, cutoff: int, special=()):
-    """density._euler_product with the polynomial evaluated by np.polyval
-    (Horner, in the same order) and each nonempty block summed by math.fsum.
-    The blocks split the stdlib sieve's primes <= cutoff on the fixed grid:
-    those <= isqrt(cutoff), then those in [lo, lo + _BLOCK_SIZE) for
-    lo = isqrt(cutoff) + 1 + j*_BLOCK_SIZE."""
+def naive_euler_product(poly: FactorPolynomial, cutoff: int, special=()) -> float:
+    """The product truncated at the primes p <= cutoff, which is within a
+    factor exp(+-2C/cutoff) of the full product when 2C <= cutoff: exact
+    factors at the special (p, factor) pairs and at the primes below 50,
+    np.polyval at the others, the logs summed by math.fsum."""
     exact = dict(special)
-    for p in primes_up_to(min(cutoff, _TRACE_LIMIT - 1)):
+    for p in primes_up_to(min(cutoff, 49)):
         exact.setdefault(p, poly.value_at(p))
-    skip = sorted(exact)
-    log_blocks = [_log_fraction(f) for f in exact.values()]
-    largest = 0
-    every = np.array(primes_up_to(cutoff), dtype=np.int64)
-    grid = range(isqrt(cutoff) + 1, cutoff + 1, primes._BLOCK_SIZE)
-    for block in np.split(every, np.searchsorted(every, grid)):
-        if block.size == 0:
-            continue
-        largest = int(block[-1])
-        if block[0] <= skip[-1]:
-            block = block[~np.isin(block, skip)]
-            if block.size == 0:
-                continue
-        log_blocks.append(fsum(np.log(np.polyval(poly.coefficients[::-1], 1.0 / block))))
-    return exp(fsum(log_blocks)), largest, exact
+    every = np.array([p for p in primes_up_to(cutoff) if p not in exact], dtype=np.int64)
+    logs = np.log(np.polyval(poly.coefficients[::-1], 1.0 / every))
+    return exp(fsum([*(log(f.numerator) - log(f.denominator) for f in exact.values()), *logs.tolist()]))
+
+
+def _trial_primes_to(n: int) -> list[int]:
+    return [p for p in range(2, n + 1) if all(p % d for d in range(2, isqrt(p) + 1))]
+
+
+def mpmath_tail(coefficients, split: int, terms: int = 30):
+    """The product of q(1/p) over the primes p > split, q with the given
+    integer coefficients, in mpmath at 80 digits: exp of sum a_j P(j) for
+    j < terms, with log q(t) = sum a_j t^j from mpmath.taylor and P(j) =
+    mpmath.primezeta(j) less p^-j at the primes up to split, found by trial
+    division."""
+    import mpmath
+
+    with mpmath.workdps(80):
+        small = _trial_primes_to(split)
+        a = mpmath.taylor(lambda t: mpmath.log(mpmath.polyval(list(coefficients)[::-1], t)), 0, terms - 1)
+        return mpmath.exp(
+            mpmath.fsum(
+                a[j] * (mpmath.primezeta(j) - mpmath.fsum(mpmath.mpf(p) ** -j for p in small))
+                for j in range(2, terms)
+            )
+        )
+
+
+def mpmath_euler_product(coefficients, special=(), split: int = 2000):
+    """The product over all primes of q(1/p), with the special (p, factor)
+    pairs' factors in place of q(1/p), in mpmath at 80 digits: the primes up
+    to split multiplied directly, the rest by mpmath_tail."""
+    import mpmath
+
+    with mpmath.workdps(80):
+        q = lambda t: mpmath.polyval(list(coefficients)[::-1], t)  # noqa: E731
+        factors = {p: mpmath.mpf(f.numerator) / f.denominator for p, f in special}
+        head = mpmath.fprod(factors.get(p, q(mpmath.mpf(1) / p)) for p in _trial_primes_to(split))
+        for p, f in factors.items():
+            if p > split:
+                head *= f / q(mpmath.mpf(1) / p)
+        return head * mpmath_tail(coefficients, split)
 
 
 def readme_count(x: int) -> int:

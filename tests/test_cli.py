@@ -130,8 +130,8 @@ class TestCheck:
         assert main(["check", str(tmp_path / "absent.json")]) == 2
 
     def test_cheap_paths_load_no_numpy(self, write_doc, tmp_path):
-        # a fresh interpreter: numpy loads only once the Euler product runs, yet
-        # importing the cli still registers every package module
+        # a fresh interpreter: no command loads numpy, the density constant's
+        # included, yet importing the cli still registers every package module
         broken = tmp_path / "broken.json"
         broken.write_text('{"k": ')
         # the violated quotients' lcm is 4, so the diagnostic trial-divides it
@@ -157,10 +157,11 @@ print(factorize(6 * 1000000000039))  # trial division to 10^6 proves the cofacto
 print(nymann_count(3, 10**6))  # the Mertens function
 print(codes, sorted(m for m in sys.modules if m.startswith("gcdcensus.")))
 main(["count", pairs, "--limit", "10"])  # the box scan
-assert "numpy" not in sys.modules, codes
 with contextlib.redirect_stdout(io.StringIO()):
-    main(["constant", good, "--prime-bound", "1000"])  # the Euler product
-assert "numpy" in sys.modules
+    codes.append(main(["constant", good]))  # the exact head and the prime-zeta tail
+    codes.append(main(["verify", good, "--limit", "100"]))
+assert "numpy" not in sys.modules, codes
+assert codes[-2:] == [0, 0], codes
 """
         docs = [write_doc(GOOD), str(broken), write_doc(bad, "bad.json"), write_doc(pairs, "pairs.json")]
         run = _fresh_python(script, *docs)
@@ -294,9 +295,9 @@ assert "numpy" in sys.modules
         assert calls == []
         big = 1000002000007
         doc = write_doc({"k": 2, "conditions": [{"indices": [1, 2], "gcd": big}]}, "big.json")
-        # constant then refuses a prime bound below the target prime, and count
+        # constant takes the target prime's exact factor past its head, and count
         # factors nothing once the witness (big, big) lies outside the box
-        code, tested = {"constant": (3, [big]), "count": (0, []), "factors": (0, [big])}[argv[0]]
+        code, tested = {"constant": (0, [big]), "count": (0, []), "factors": (0, [big])}[argv[0]]
         assert main([argv[0], doc, *argv[1:]]) == code
         assert calls == tested
 
@@ -323,7 +324,7 @@ class TestConstant:
         fields = dict(line.split(" ", 1) for line in lines)
         assert float(fields["value"]) == pytest.approx(0.6079271, abs=1e-4)
         assert float(fields["lower"]) <= float(fields["value"]) <= float(fields["upper"])
-        assert fields["prime_cutoff"] == "99991"
+        assert fields["prime_cutoff"] == "997"  # the head stops at 1000, whatever the bound
 
     def test_json_fields(self, write_doc, capsys):
         assert main(["constant", write_doc(PAIR2), "--prime-bound", "10000", "--format", "json"]) == 0
@@ -336,10 +337,10 @@ class TestConstant:
         assert main(["constant", path, "--prime-bound", "10000", "--trace"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines == [
-            "value 0.000143200137991",
-            "lower 0.000143114243679",
-            "upper 0.000143286083855",
-            "prime_cutoff 9973",
+            "value 0.000143197326872",
+            "lower 0.000143197326872",
+            "upper 0.000143197326872",
+            "prime_cutoff 997",
             "factor 2 5/64 0.078125",
             "factor 3 16/243 0.0658436213992",
             "factor 5 96/3125 0.03072",
@@ -372,7 +373,8 @@ class TestConstant:
     @pytest.mark.parametrize(
         "doc, cutoff, expected",
         [
-            (PAIR2, 2, [2]),
+            # with no conditions the factor polynomial is 1, so the head may stop at 2
+            ({"k": 2, "conditions": []}, 2, [2]),
             (GOOD, 30, SMALL_PRIMES[:10]),
             # a target prime beyond the listed small primes is traced too
             ({"k": 2, "conditions": [{"indices": [1, 2], "gcd": 53}]}, 60, SMALL_PRIMES + [53]),
@@ -397,9 +399,33 @@ class TestConstant:
     def test_inadmissible_exit(self, write_doc):
         assert main(["constant", write_doc(BAD)]) == 1
 
-    def test_cutoff_too_small_is_resource_exit(self, write_doc):
-        doc = {"k": 2, "conditions": [{"indices": [1, 2], "gcd": 101}]}
+    def test_cutoff_too_small_is_resource_exit(self, write_doc, capsys):
+        # complete pairwise k=25: R = 2 max |c_j|^(1/j) is about 35, so a head to
+        # 50 cannot bound the tail's series
+        doc = {"k": 25, "conditions": [{"indices": list(t), "gcd": 1} for t in combinations(range(1, 26), 2)]}
         assert main(["constant", write_doc(doc), "--prime-bound", "50"]) == 3
+        assert "below 2R = " in capsys.readouterr().err
+        assert main(["constant", write_doc(doc), "--prime-bound", "1000"]) == 0
+
+    @pytest.mark.parametrize("bound", ["1", "0", "-5"])
+    def test_cutoff_below_two_is_validation_exit(self, write_doc, capsys, bound):
+        path = write_doc(PAIR2)
+        for cmd in (["constant", path], ["verify", path, "--limit", "10"]):
+            assert main([*cmd, "--prime-bound", bound]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"prime cutoff must be >= 2, got {bound}" in captured.err
+
+    def test_target_prime_above_the_head_enters_exactly(self, write_doc, capsys):
+        # the target prime 101 lies past a head to 50: its exact factor
+        # (1 - 1/101^2) / 101^2 replaces the generic 1 - 1/101^2, so the
+        # constant is 6/pi^2 / 101^2
+        doc = {"k": 2, "conditions": [{"indices": [1, 2], "gcd": 101}]}
+        assert main(["constant", write_doc(doc), "--prime-bound", "50", "--trace", "--format", "json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["prime_cutoff"] == 47
+        assert out["factor_trace"][-1]["p"] == 101
+        assert out["value"] == pytest.approx(0.6079271018540267 / 101**2, rel=1e-15, abs=0)
 
     def test_over_state_cap_is_resource_exit(self, write_doc, capsys):
         # complete bipartite K_{24,24}: the subset sums pass their state cap
@@ -410,14 +436,6 @@ class TestConstant:
             assert main(cmd) == 3
             assert time.perf_counter() - start < 5  # 0.2-0.3 s on a 2-vCPU VM
             assert "65536-state cap" in capsys.readouterr().err
-
-    def test_cutoff_above_limit_is_resource_exit(self, write_doc, capsys):
-        path = write_doc(PAIR2)
-        for cmd in (["constant", path], ["verify", path, "--limit", "10"]):
-            assert main(cmd + ["--prime-bound", str(10**10 + 1)]) == 3
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert "10000000000" in captured.err
 
 
 class TestCountVerify:
@@ -547,32 +565,6 @@ class TestStdinAndThreads:
         assert main(["count", "-", "--limit", "10"]) == 0
         assert "count 63" in capsys.readouterr().out
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts the tasks in /proc/self/task")
-    @pytest.mark.parametrize("preset", [None, "2"])
-    def test_numpy_loads_without_a_blas_thread_pool(self, write_doc, preset):
-        # the Euler product's worker thread has ended once main returns, so one
-        # task is left unless OpenBLAS started its own pool as numpy loaded
-        script = """
-import contextlib, io, json, os, sys
-from gcdcensus.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    rc = main(["constant", sys.argv[1], "--prime-bound", "3000001"])
-print(json.dumps([rc, "numpy" in sys.modules, len(os.listdir("/proc/self/task")), os.environ["OPENBLAS_NUM_THREADS"]]))
-"""
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        if preset is not None:
-            env["OPENBLAS_NUM_THREADS"] = preset
-        src = os.path.dirname(os.path.dirname(gcdcensus.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        run = subprocess.run(
-            [sys.executable, "-c", script, write_doc(GOOD)], capture_output=True, text=True, env=env, timeout=60
-        )
-        assert run.returncode == 0, run.stderr
-        rc, loaded, tasks, threads = json.loads(run.stdout)
-        assert (rc, loaded, threads) == (0, True, preset or "1")
-        if preset is None:
-            assert tasks == 1
-
 
 class TestStartup:
     """What one launch runs: package modules execute on first use, and a
@@ -618,11 +610,11 @@ print(json.dumps({"rc": rc, "out": out.getvalue(), "lazy": lazy, "loaded": sorte
         assert set(SUBMODULES) <= set(state["loaded"])  # registered, run or not
 
     def test_constant_runs_density(self, write_doc):
-        # that the box scan loads no numpy is test_cheap_paths_load_no_numpy's last check
+        # that no command loads numpy is test_cheap_paths_load_no_numpy's check
         state = self._launch("constant", write_doc(GOOD), "--prime-bound", "1000")
         assert state["rc"] == 0 and state["out"].startswith("value ")
         assert "gcdcensus.density" not in state["lazy"]
-        assert {"fractions", "numpy"} <= set(state["loaded"])
+        assert {"fractions", "decimal"} <= set(state["loaded"])
 
     def test_every_traced_function_resolves_after_importing_the_cli(self):
         # the benchmark's tracer imports gcdcensus.cli, then looks each of its

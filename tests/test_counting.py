@@ -20,7 +20,7 @@ from gcdcensus import (
     is_admissible,
     nymann_count,
 )
-from gcdcensus import FactorPolynomial, counting, find_cover, generic_factor_polynomial
+from gcdcensus import FactorPolynomial, counting, find_cover, generic_factor_polynomial, primes
 from gcdcensus import local_factor, local_view, relevant_primes
 from gcdcensus.padic import core_masks, valuations
 
@@ -442,7 +442,7 @@ class TestNymann:
         # zero the multiples of p^2
         expected = [0] + [trial_mobius(m) for m in range(1, 171)]
         for n in range(171):
-            assert counting._mobius(n) == expected[: n + 1]
+            assert primes.mobius_up_to(n) == expected[: n + 1]
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

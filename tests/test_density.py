@@ -1,15 +1,13 @@
-"""Local factors, the shared polynomial, and the truncated Euler product."""
+"""Local factors, the shared polynomial, and the Euler product: its exact
+head and prime-zeta tail, against the truncated product's old certificate
+and an mpmath reference."""
 
 import itertools
-import os
 import random
-import threading
 import time
-import warnings
 from fractions import Fraction
-from math import comb, exp, fsum, log, log1p, pi
+from math import comb, exp, fsum, log1p, pi
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -30,12 +28,14 @@ from gcdcensus import (
     rwise_constant,
     toth_pairwise_constant,
 )
-from gcdcensus import density, primes
-from gcdcensus.density import MAX_PRIME_CUTOFF, FactorPolynomial
+from gcdcensus import density
+from gcdcensus.density import FactorPolynomial
 from gcdcensus.primes import primes_up_to
 
 from helpers import (
     admissible_condition_sets,
+    mpmath_euler_product,
+    mpmath_tail,
     naive_euler_product,
     naive_factor_polynomial,
     naive_local_factor,
@@ -44,6 +44,10 @@ from helpers import (
 )
 
 ZETA2 = pi**2 / 6
+# README's system: value, lower and upper as float.hex, and the head's last prime
+PINNED = ("0x1.2c4e7abecbf1fp-13", "0x1.2c4e7abecbf1fp-13", "0x1.2c4e7abecbf20p-13", 997)
+PINNED_TOTH8 = "0x1.2d91f3c1a4629p-10"
+PINNED_RWISE63 = "0x1.911edaee3dd3fp-3"
 INV_ZETA3 = 0.8319073725807075  # 1/zeta(3), float64
 
 # Complete bipartite K_{24,24}: every elimination order keeps about 24
@@ -231,10 +235,8 @@ class TestSubsetHistogramKernel:
         rng = random.Random(20261019)
         for _ in range(20):
             cs = random_admissible(rng, max_k=7, max_base=40)
-            special = relevant_primes(cs)
-            cutoff = max(2 * generic_factor_polynomial(cs).tail_constant, *special, 2)
-            trace = dict(constant(cs, cutoff).factor_trace)
-            for p in special:
+            trace = dict(constant(cs).factor_trace)
+            for p in relevant_primes(cs):
                 assert trace[p] == local_factor(local_view(cs, p, find_cover(cs)))
 
     @pytest.mark.parametrize(
@@ -300,13 +302,32 @@ class TestConstant:
         with pytest.raises(InadmissibleError):
             constant(condition_set(3, {(1, 2): 2, (1, 3): 2, (2, 3): 1}))
 
-    def test_cutoff_below_support_rejected(self):
-        with pytest.raises(CutoffTooSmallError):
-            constant(condition_set(2, {(1, 2): 101}), prime_cutoff=50)
+    def test_target_prime_beyond_the_head_enters_exactly(self):
+        # the head stops at 47 or at 997; either way 101's exact factor is used
+        cs = condition_set(2, {(1, 2): 101})
+        short, long = constant(cs, prime_cutoff=50), constant(cs, prime_cutoff=1000)
+        assert (short.prime_cutoff, long.prime_cutoff) == (47, 997)
+        assert dict(short.factor_trace)[101] == dict(long.factor_trace)[101] == Fraction(101**2 - 1, 101**4)
+        assert max(short.lower, long.lower) <= min(short.upper, long.upper)
+        assert short.value == pytest.approx(long.value, rel=1e-15, abs=0)
 
     def test_cutoff_below_tail_constant_rejected(self):
-        with pytest.raises(CutoffTooSmallError):
-            constant(condition_set(2, {(1, 2): 1}), prime_cutoff=1)
+        # 1 - t^2: R = 2, and a head to 3 is below 2R = 4
+        with pytest.raises(CutoffTooSmallError, match="below 2R = 4"):
+            constant(condition_set(2, {(1, 2): 1}), prime_cutoff=3)
+        assert constant(condition_set(2, {(1, 2): 1}), prime_cutoff=6).prime_cutoff == 5
+
+    @pytest.mark.parametrize("cutoff", [1, 0, -5])
+    def test_cutoff_below_two_is_a_value_error(self, cutoff):
+        cs = condition_set(3, {(1, 2): 1, (1, 3): 1, (2, 3): 1})
+        for call in (
+            lambda: constant(cs, cutoff),
+            lambda: toth_pairwise_constant(3, cutoff),
+            lambda: rwise_constant(3, 2, cutoff),
+        ):
+            with pytest.raises(ValueError, match=f"prime cutoff must be >= 2, got {cutoff}") as exc:
+                call()
+            assert type(exc.value) is ValueError  # not CutoffTooSmallError, which exits 3
 
     def test_over_state_cap_rejected_in_bounded_time(self):
         start = time.perf_counter()
@@ -314,35 +335,27 @@ class TestConstant:
             constant(OVER_CAP, prime_cutoff=10**4)
         assert time.perf_counter() - start < 5
 
-    def test_complete_pairwise_k30_needs_cutoff_2c(self):
-        # C is about 1.5e10, so the tail bound refuses the cutoff
+    def test_complete_pairwise_k30_needs_cutoff_2r(self):
+        # C is about 1.5e10, far past any cutoff the truncated product could
+        # sieve to, but 2R = 4 max |c_j|^(1/j) is below 1000
         cs = condition_set(30, {(i, j): 1 for i in range(1, 31) for j in range(i + 1, 31)})
-        with pytest.raises(CutoffTooSmallError, match="below 2C"):
-            constant(cs, prime_cutoff=10**4)
+        coeffs = generic_factor_polynomial(cs).coefficients
+        two_r = 4 * max(abs(c) ** (1 / j) for j, c in enumerate(coeffs[2:], 2))
+        assert 50 < two_r < 1000
+        with pytest.raises(CutoffTooSmallError, match=f"below 2R = {two_r:.6g}"):
+            constant(cs, prime_cutoff=50)
+        res = constant(cs, prime_cutoff=10**4)
+        assert 0 < res.lower <= res.value <= res.upper and res.upper - res.lower < 1e-15 * res.value
 
     def test_25_disjoint_pairs_match_toth_power(self):
-        # A cover of 25 indices.  The value is a product over
-        # the pi(10^8) = 5,761,455 primes, and so is each Toth k=2 oracle
-        # factor.  Per prime, Horner's value of (1-t^2)^25 near 1 carries
-        # about one unit of 2^-53 from its last addition, the higher terms
-        # a small fraction of one, and np.log about one more; take 5 units.
-        # The oracle's 1 - t^2 carries at most 3, taken 25 times over in its
-        # 25th power.  So |log(value/oracle)| <= 5,761,455 * 80 * 2^-53,
-        # about 5.1e-8; errors of either sign mostly cancel across primes.
+        # A cover of 25 indices, whose factor polynomial is (1-t^2)^25.  The
+        # value and the oracle each carry about one rounding to a float, the
+        # oracle's 25th power at most 25 more units of 2^-53.
         cs = condition_set(50, {(2 * i - 1, 2 * i): 1 for i in range(1, 26)})
         res = constant(cs, prime_cutoff=10**8)
         oracle = toth_pairwise_constant(2, 10**8) ** 25
-        assert res.value == pytest.approx(oracle, rel=5_761_455 * 80 * 2.0**-53, abs=0)
-        assert res.lower <= oracle <= res.upper
-
-    def test_prime_cutoff_above_limit_rejected_before_sieving(self, monkeypatch):
-        def no_sieve(*args):
-            raise AssertionError(f"sieved {args}")
-
-        for name in ("SievePlan", "sieve_segment", "primes_up_to"):
-            monkeypatch.setattr(density, name, no_sieve)
-        with pytest.raises(ResourceLimitError, match=str(MAX_PRIME_CUTOFF)):
-            constant(condition_set(2, {(1, 2): 1}), prime_cutoff=MAX_PRIME_CUTOFF + 1)
+        assert res.value == pytest.approx(oracle, rel=30 * 2.0**-53, abs=0)
+        assert res.lower <= res.value <= res.upper and res.upper - res.lower < 1e-15 * res.value
 
     def test_result_carries_tail_constant(self):
         cs = condition_set(3, {(1, 2): 6, (2, 3): 10})
@@ -394,8 +407,13 @@ class TestClosedFormOracles:
     def test_toth_two_is_inverse_zeta2(self):
         assert abs(toth_pairwise_constant(2, 10**6) - 1 / ZETA2) < 1e-6
 
-    def test_toth_single_factor(self):
-        assert toth_pairwise_constant(2, 2) == pytest.approx(0.75, abs=1e-15)
+    def test_closed_forms_refuse_a_head_below_2r(self):
+        # Toth k=2 is 1 - t^2, with 2R = 4: a head to 3 is refused, one to 5 is not
+        with pytest.raises(CutoffTooSmallError, match="below 2R = 4"):
+            toth_pairwise_constant(2, 3)
+        with pytest.raises(CutoffTooSmallError, match="below 2R = 4"):
+            rwise_constant(2, 2, 3)
+        assert toth_pairwise_constant(2, 5) == pytest.approx(6 / pi**2, rel=1e-15, abs=0)
 
     def test_toth_three_stable_value(self):
         # agrees with an independent evaluation at cutoff 1e7 to 6 digits
@@ -411,25 +429,19 @@ class TestClosedFormOracles:
     @pytest.mark.parametrize("k", [40, 64])
     def test_large_k_matches_log1p_product(self, k):
         # float poly(1/p) cancels at small p for these degrees; the products of
-        # (1-1/p)^(k-1) (1+(k-1)/p) and (1-1/p)^k sum_{x<3} C(k,x)/(p-1)^x,
-        # taken through log1p, do not
-        ps = [int(p) for p in primes_up_to(10**4)]
-        toth = exp(fsum((k - 1) * log1p(-1 / p) + log1p((k - 1) / p) for p in ps))
-        head = [log(sum(comb(k, x) / (p - 1) ** x for x in range(3))) for p in ps]
-        rwise = exp(fsum(k * log1p(-1 / p) + h for p, h in zip(ps, head)))
-        assert toth_pairwise_constant(k, 10**4) == pytest.approx(toth, rel=1e-12, abs=0)
-        assert rwise_constant(k, 3, 10**4) == pytest.approx(rwise, rel=1e-12, abs=0)
-
-    def test_cutoff_above_limit_rejected_before_sieving(self, monkeypatch):
-        def no_sieve(*args):
-            raise AssertionError(f"sieved {args}")
-
-        for name in ("SievePlan", "sieve_segment", "primes_up_to"):
-            monkeypatch.setattr(density, name, no_sieve)
-        with pytest.raises(ResourceLimitError, match=str(MAX_PRIME_CUTOFF)):
-            toth_pairwise_constant(3, MAX_PRIME_CUTOFF + 1)
-        with pytest.raises(ResourceLimitError, match=str(MAX_PRIME_CUTOFF)):
-            rwise_constant(4, 3, MAX_PRIME_CUTOFF + 1)
+        # (1-1/p)^(k-1) (1+(k-1)/p) and (1-1/p)^k sum_{x<3} C(k,x)/(p-1)^x over
+        # p <= 10^4, taken through log1p, do not.  mpmath completes them past 10^4.
+        pytest.importorskip("mpmath")
+        ps = primes_up_to(10**4)
+        toth = fsum((k - 1) * log1p(-1 / p) + log1p((k - 1) / p) for p in ps)
+        rwise = fsum(k * log1p(-1 / p) + log1p(sum(comb(k, x) / (p - 1) ** x for x in range(1, 3))) for p in ps)
+        toth_poly, rwise_poly = FactorPolynomial(pairwise_coefficients(k)), FactorPolynomial(rwise_coefficients(k, 3))
+        assert toth_pairwise_constant(k) == pytest.approx(
+            exp(toth) * float(mpmath_tail(toth_poly.coefficients, 10**4)), rel=1e-12, abs=0
+        )
+        assert rwise_constant(k, 3) == pytest.approx(
+            exp(rwise) * float(mpmath_tail(rwise_poly.coefficients, 10**4)), rel=1e-12, abs=0
+        )
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -440,62 +452,39 @@ class TestClosedFormOracles:
             rwise_constant(3, 1)
 
 
-class TestExactSum:
-    """density._exact_sum must return math.fsum's double bit for bit."""
+def head_end(cutoff):
+    return primes_up_to(min(cutoff, 1000))[-1]
 
-    @staticmethod
-    def assert_fsum_bits(x):
-        assert density._exact_sum(x).hex() == fsum(x).hex()
 
-    @pytest.mark.parametrize("spread", [0, 1, 9, 10, 11, 30, 53, 80])
-    def test_seeded_mixed_signs_and_zeros(self, spread):
-        rng = np.random.default_rng(spread)
-        for n in (1, 2, 17, 1000, 20000):
-            x = rng.uniform(0.5, 1.0, n) * rng.choice((-1.0, 1.0), n)
-            x = np.ldexp(x, rng.integers(-spread // 2, spread - spread // 2 + 1, n) - 20)
-            x[rng.random(n) < 0.1] = 0.0
-            self.assert_fsum_bits(x)
-
-    def test_cancelling_terms(self):
-        x = np.array([1e16, 1.0, -1e16, 2.0**-60, -(2.0**-60), 3.0])
-        self.assert_fsum_bits(x)
-        self.assert_fsum_bits(np.array([1.0, -1.0]))
-
-    def test_empty_and_all_zero(self):
-        self.assert_fsum_bits(np.empty(0))
-        self.assert_fsum_bits(np.zeros(5))
-
-    def test_subnormals(self):
-        tiny = np.array([5e-324, 1e-310, -2.5e-320, 2.0**-1022, -(2.0**-1070), 1e-300])
-        self.assert_fsum_bits(tiny)
-        self.assert_fsum_bits(tiny[:3])
-        self.assert_fsum_bits(np.full(1000, 5e-324))
-
-    def test_non_finite_terms_pass_through(self):
-        assert density._exact_sum(np.array([1.0, np.inf])) == np.inf
-        assert np.isnan(density._exact_sum(np.array([1.0, np.nan])))
-
-    def test_long_block_cannot_overflow_int64(self):
-        # 2^20 mantissas of 2^53 - 1 would overflow a plain int64 sum
-        self.assert_fsum_bits(np.full(1 << 20, -0.9999999999999999))
+def below_2r(poly, h):
+    # h < 2R = 4 max |c_j|^(1/j), in exact integers
+    return any(h**j < 4**j * abs(c) for j, c in enumerate(poly.coefficients[2:], 2))
 
 
 class TestEulerProductKernels:
-    """_euler_product against the per-block math.fsum loop, bit for bit."""
+    """_euler_product must not depend on where its head stops, past 2R."""
 
     @staticmethod
-    def assert_same_bits(poly, cutoff, special=()):
-        value, largest, exact = density._euler_product(poly, cutoff, special)
-        naive_value, naive_largest, naive_exact = naive_euler_product(poly, cutoff, special)
-        assert (value.hex(), largest, exact) == (naive_value.hex(), naive_largest, naive_exact)
+    def assert_split_free(poly, cutoff, special=()):
+        h = head_end(cutoff)
+        if below_2r(poly, h):
+            with pytest.raises(CutoffTooSmallError, match="below 2R"):
+                density._euler_product(poly, cutoff, special)
+            return
+        value, lower, upper, largest, exact = density._euler_product(poly, cutoff, special)
+        ref_value, ref_lower, ref_upper, _, _ = density._euler_product(poly, 10**8, special)
+        assert largest == h
+        assert set(exact) == {p for p in primes_up_to(min(h, 49))} | {p for p, _ in special}
+        assert lower <= value <= upper and max(lower, ref_lower) <= min(upper, ref_upper)
+        assert value == pytest.approx(ref_value, rel=4 * 2.0**-53, abs=0)
 
-    @pytest.mark.parametrize("cutoff", [2, 30, 10**4, 3 * 10**6])  # 3e6: three sieve segments
+    @pytest.mark.parametrize("cutoff", [2, 30, 10**4, 3 * 10**6])
     def test_closed_form_polynomials(self, monkeypatch, cutoff):
         polys = []
 
         def recording(poly, cutoff, special=()):
             polys.append(poly)
-            return 1.0, 0, {}
+            return 1.0, 1.0, 1.0, 0, {}
 
         monkeypatch.setattr(density, "_euler_product", recording)
         for k in range(2, 13):
@@ -505,160 +494,120 @@ class TestEulerProductKernels:
         monkeypatch.undo()
         assert len(polys) == 11 + 66
         for poly in dict.fromkeys(polys):  # Toth k equals r-wise (k, 2)
-            self.assert_same_bits(poly, cutoff)
+            self.assert_split_free(poly, cutoff)
 
     def test_bits_pinned(self):
-        # absolute bits: the oracle above shares the sieve with the kernel,
-        # so a change that moves bits in both would pass it, but not this
+        # absolute bits: a change that moves the values at every split alike
+        # passes the oracle above, but not this
         cs = condition_set(3, {(1, 2): 6, (2, 3): 10})
         res = constant(cs, 10**6)
-        assert (res.value.hex(), res.lower.hex(), res.upper.hex(), res.prime_cutoff) == (
-            "0x1.2c4e7d69bf05ap-13",
-            "0x1.2c4e0753fc0dep-13",
-            "0x1.2c4ef37fb06c4p-13",
-            999983,
-        )
-        assert constant(cs, 3 * 10**6 + 1).value.hex() == "0x1.2c4e7b9291794p-13"  # three segments
-        assert toth_pairwise_constant(8, 3 * 10**6 + 1).hex() == "0x1.2d91ff62eae5fp-10"
-        assert rwise_constant(6, 3, 10**6).hex() == "0x1.911edaee3fc4dp-3"
+        assert (res.value.hex(), res.lower.hex(), res.upper.hex(), res.prime_cutoff) == PINNED
+        assert constant(cs, 3 * 10**6 + 1).value.hex() == PINNED[0]  # the head stops at 997 either way
+        assert toth_pairwise_constant(8, 3 * 10**6 + 1).hex() == PINNED_TOTH8
+        assert rwise_constant(6, 3, 10**6).hex() == PINNED_RWISE63
 
     @pytest.mark.parametrize("cutoff", [2, 30, 10**4, 3 * 10**6])
     def test_pinned_cascade_with_special_factors(self, cutoff):
         cs = condition_set(5, {(1, 2, 3): 1, (3, 4): 2, (4, 5): 4})
         w = find_cover(cs)
         special = [(p, local_factor(local_view(cs, p, w))) for p in relevant_primes(cs)]
-        self.assert_same_bits(generic_factor_polynomial(cs), cutoff, special)
+        self.assert_split_free(generic_factor_polynomial(cs), cutoff, special)
 
 
-class TestThreadedProduct:
-    """_euler_product folds sieve segments on several threads; the bits must
-    not depend on how many, and no thread may outlive the call."""
+def pairwise_system(k):
+    return condition_set(k, {t: 1 for t in itertools.combinations(range(1, k + 1), 2)})
 
-    @staticmethod
-    def use_threads(monkeypatch, n):
-        monkeypatch.setattr(density, "_PRODUCT_THREADS", n)
-        monkeypatch.setattr(density, "_available_cpus", lambda: n)
 
-    def assert_naive_bits_on_1_2_3_threads(self, monkeypatch, poly, cutoff, special):
-        naive_value, naive_largest, naive_exact = naive_euler_product(poly, cutoff, special)
-        for n in (1, 2, 3):
-            self.use_threads(monkeypatch, n)
-            value, largest, exact = density._euler_product(poly, cutoff, special)
-            assert (value.hex(), largest, exact) == (naive_value.hex(), naive_largest, naive_exact)
+# 22 indices: a path, chords i ~ i + 7, three 3-sets, and targets 6, 10 and 15
+SPARSE_WIDE = condition_set(
+    22,
+    {
+        **{(i, i + 1): 1 for i in range(1, 22)},
+        **{(i, i + 7): 1 for i in range(1, 16)},
+        (1, 9, 20): 1,
+        (4, 12, 18): 1,
+        (2, 13, 21): 1,
+        (5, 6): 6,
+        (10, 11): 10,
+        (15, 16): 15,
+    },
+)
 
-    @pytest.mark.parametrize("cutoff", [3 * 10**6 + 1, 2**23, 10**7])  # 3, 8 and 10 segments
-    def test_same_bits_for_any_thread_count(self, monkeypatch, cutoff):
-        cs = condition_set(3, {(1, 2): 6, (2, 3): 10})
-        w = find_cover(cs)
-        special = [(p, local_factor(local_view(cs, p, w))) for p in relevant_primes(cs)]
-        self.assert_naive_bits_on_1_2_3_threads(monkeypatch, generic_factor_polynomial(cs), cutoff, special)
+SYSTEMS = {
+    "readme": condition_set(3, {(1, 2): 6, (2, 3): 10}),
+    **{f"pairwise-k{k}": pairwise_system(k) for k in (3, 8, 25, 64)},
+    "path-k40": condition_set(40, {(i, i + 1): 1 for i in range(1, 40)}),
+    "star-k20": condition_set(20, {(1, j): 1 for j in range(2, 21)}),
+    "4-wise-k14": condition_set(14, {t: 1 for t in itertools.combinations(range(1, 15), 4)}),
+    "sparse-wide": SPARSE_WIDE,
+}
 
-    def test_cpu_count_without_affinity(self, monkeypatch):
-        # where os has no sched_getaffinity (macOS, Windows) the CPUs are counted
-        poly = FactorPolynomial((1, 0, -3, 2))  # Toth k=3
-        value, largest, exact = density._euler_product(poly, 3 * 10**6 + 1, [])  # 3 segments
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        for cpus, n in ((None, 1), (1, 1), (4, 4)):
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-            assert density._available_cpus() == n
-            again = density._euler_product(poly, 3 * 10**6 + 1, [])
-            assert (again[0].hex(), again[1], again[2]) == (value.hex(), largest, exact)
 
-    def test_wholly_skipped_segments(self, monkeypatch):
-        # 16-wide segments, two of them made of special primes only
-        monkeypatch.setattr(primes, "_BLOCK_SIZE", 16)
-        poly = FactorPolynomial((1, 0, -3, 2))  # Toth k=3
-        plan = primes.SievePlan(3000)
-        whole = [int(p) for lo in plan.starts[3:5] for p in primes.sieve_segment(plan, lo)]
-        special = [(p, Fraction(p - 1, p)) for p in whole]
-        assert len(plan.starts) > 100 and len(special) > 2
-        self.assert_naive_bits_on_1_2_3_threads(monkeypatch, poly, 3000, special)
+def target_factors(cs):
+    w = find_cover(cs)
+    return [(p, local_factor(local_view(cs, p, w))) for p in relevant_primes(cs)]
 
-    def test_worker_exception_reaches_the_caller(self, monkeypatch):
-        self.use_threads(monkeypatch, 2)
-        exact_sum = density._exact_sum
 
-        def failing_in_workers(x):
-            if threading.current_thread() is not threading.main_thread():
-                raise ZeroDivisionError("worker fold")
-            return exact_sum(x)
+class TestCompletedProduct:
+    """The head times the prime-zeta tail, against references that share no
+    code with it: mpmath's series and prime zeta function, and the truncated
+    product's certificate."""
 
-        monkeypatch.setattr(density, "_exact_sum", failing_in_workers)
-        baseline = threading.active_count()
-        with pytest.raises(ZeroDivisionError, match="worker fold"):
-            toth_pairwise_constant(3, 10**7)
-        assert threading.active_count() == baseline
+    @pytest.mark.parametrize("name", SYSTEMS)
+    def test_interval_holds_the_mpmath_reference(self, name):
+        pytest.importorskip("mpmath")
+        cs = SYSTEMS[name]
+        res = constant(cs)
+        reference = mpmath_euler_product(generic_factor_polynomial(cs).coefficients, target_factors(cs))
+        assert res.lower <= reference <= res.upper
+        assert res.upper - res.lower < (1e-12 if name == "readme" else 1e-10) * res.value
 
-    def test_warning_turned_error_in_a_worker_reaches_the_caller(self, monkeypatch):
-        # roots at t = 1/(2*10^6) and 1/(1.1*10^6), and c1 = 0: the polynomial is
-        # negative only in the second of the three segments to 3*10^6, which is
-        # the worker's, so only the worker takes the log of a negative value
-        poly = FactorPolynomial((1, 0, -7_410_000_000_000, 6_820_000_000_000_000_000))
-        self.use_threads(monkeypatch, 2)
-        baseline = threading.active_count()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(RuntimeWarning, match="invalid value"):
-                density._euler_product(poly, 3 * 10**6)
-        assert threading.active_count() == baseline
+    @pytest.mark.parametrize("P", [10**4, 10**5, 10**6])
+    def test_value_inside_the_truncated_products_certificate(self, P):
+        # the truncated product at P was certified to within exp(+-2C/P) when 2C <= P
+        checked = 0
+        for cs in [*SYSTEMS.values(), condition_set(2, {(1, 2): 1}), condition_set(5, {(1, 2, 3): 1, (3, 4): 2, (4, 5): 4})]:
+            poly = generic_factor_polynomial(cs)
+            slack = 2 * poly.tail_constant / P
+            if slack > 1:
+                continue
+            truncated = naive_euler_product(poly, P, target_factors(cs))
+            assert truncated * exp(-slack) <= constant(cs).value <= truncated * exp(slack)
+            checked += 1
+        assert checked >= 4
 
-    def test_workers_keep_the_callers_errstate(self, monkeypatch):
-        # the serial loop honours the caller's np.errstate, so the workers must too
-        poly = FactorPolynomial((1, 0, -7_410_000_000_000, 6_820_000_000_000_000_000))
-        self.use_threads(monkeypatch, 2)
-        with warnings.catch_warnings(), np.errstate(invalid="ignore"):
-            warnings.simplefilter("error", RuntimeWarning)
-            value, _, _ = density._euler_product(poly, 3 * 10**6)
-        assert np.isnan(value)
+    def test_wide_systems_answered_at_the_default_cutoff(self):
+        for name in ("pairwise-k25", "pairwise-k64", "path-k40", "star-k20"):
+            res = constant(SYSTEMS[name])
+            assert res.prime_cutoff == 997
+            assert 0 < res.lower <= res.value <= res.upper < res.lower * (1 + 1e-15)
 
-    def test_caller_exception_stops_and_joins_the_workers(self, monkeypatch):
-        self.use_threads(monkeypatch, 2)
-        plan = primes.SievePlan(10**7)
-        worker_began = threading.Event()
-        worker_folds = []
+    @pytest.mark.parametrize("cutoff", [density.DEFAULT_PRIME_CUTOFF, 10**8])
+    def test_constant_equals_the_closed_forms_bit_for_bit(self, cutoff):
+        for k in range(2, 65):
+            assert constant(pairwise_system(k), cutoff).value == toth_pairwise_constant(k, cutoff)
+        for k, r in [(3, 3), (4, 3), (5, 3), (6, 4), (8, 3), (10, 5), (12, 3), (12, 12)]:
+            cs = condition_set(k, {t: 1 for t in itertools.combinations(range(1, k + 1), r)})
+            assert constant(cs, cutoff).value == rwise_constant(k, r, cutoff)
 
-        def fold(block):
-            if threading.current_thread() is threading.main_thread():
-                worker_began.wait(10)
-                raise KeyboardInterrupt
-            worker_folds.append(block.size)
-            worker_began.set()
-            time.sleep(0.05)  # the caller raises meanwhile
-            return block.size
+    @pytest.mark.parametrize("k", [2, 3, 8, 64])
+    def test_log_series_of_toth_polynomials(self, k):
+        # (1-t)^(k-1) (1 + (k-1) t) has roots 1 (k-1 times) and -1/(k-1), so
+        # j a_j = -(k-1) - (-(k-1))^j
+        ja = density._log_series(pairwise_coefficients(k), 40)
+        assert ja[2:] == [-(k - 1) - (1 - k) ** j for j in range(2, 40)]
 
-        baseline = threading.active_count()
-        with pytest.raises(KeyboardInterrupt):
-            density._map_segments(plan, fold)
-        assert threading.active_count() == baseline
-        assert 1 <= len(worker_folds) < len(plan.starts) // 2
+    def test_bernoulli_numbers(self):
+        expected = [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30), Fraction(5, 66), Fraction(-691, 2730)]
+        assert [density._bernoulli(2 * i) for i in range(1, 7)] == expected
+        assert density._bernoulli(1) == Fraction(-1, 2) and density._bernoulli(13) == 0
 
-    def test_interrupt_while_joining_stops_and_joins_the_workers(self, monkeypatch):
-        # the caller has folded its own segments and waits for the worker
-        self.use_threads(monkeypatch, 2)
-        plan = primes.SievePlan(10**7)
-        worker_began = threading.Event()
-        worker_folds = []
+    def test_zeta_values(self):
+        mpmath = pytest.importorskip("mpmath")
+        from decimal import Decimal, localcontext
 
-        class InterruptedJoin(threading.Thread):
-            interrupted = False
-
-            def join(self, timeout=None):
-                if not InterruptedJoin.interrupted:
-                    InterruptedJoin.interrupted = True
-                    worker_began.wait(10)
-                    raise KeyboardInterrupt
-                super().join(timeout)
-
-        def fold(block):
-            if threading.current_thread() is not threading.main_thread():
-                worker_folds.append(block.size)
-                worker_began.set()
-                time.sleep(0.05)  # the caller's join is interrupted meanwhile
-            return block.size
-
-        monkeypatch.setattr(threading, "Thread", InterruptedJoin)
-        baseline = threading.active_count()
-        with pytest.raises(KeyboardInterrupt):
-            density._map_segments(plan, fold)
-        assert threading.active_count() == baseline
-        assert 1 <= len(worker_folds) < len(plan.starts) // 2
+        with localcontext() as ctx, mpmath.workdps(80):
+            ctx.prec = 60
+            for s in (2, 3, 4, 7, 20, 45):
+                got = density._zeta(s, 60, Decimal(10) ** -60)
+                assert abs(mpmath.mpf(str(got)) - mpmath.zeta(s)) < mpmath.mpf(10) ** -57

@@ -1,8 +1,7 @@
-"""The prime sieves: the stdlib sieve, and the numpy segmented sieve checked against it."""
+"""The stdlib sieve, primality, factorization and the Mobius table, against trial division."""
 
 from math import isqrt, prod
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -114,38 +113,15 @@ def test_primes_up_to_matches_trial_division():
         assert got == trial_primes(n)
 
 
-@pytest.mark.parametrize("block", [16, None])
-def test_plan_segments_concatenate_to_the_primes(monkeypatch, block):
-    # sieve_segment reads only the plan, so segments sieved in reverse order agree
-    if block:
-        monkeypatch.setattr(primes, "_BLOCK_SIZE", block)
-    for limit in range(401) if block else (3 * 10**6 + 1, 2**23):
-        plan = primes.SievePlan(limit)
-        assert plan.starts == range(isqrt(limit) + 1, limit + 1, primes._BLOCK_SIZE)
-        segments = [primes.sieve_segment(plan, lo) for lo in reversed(plan.starts)][::-1]
-        assert all(s.dtype == np.int64 for s in segments)
-        assert plan.base.tolist() == trial_primes(isqrt(limit))
-        # the stdlib sieve shares no code with the segments
-        assert np.concatenate([plan.base, *segments]).tolist() == primes_up_to(limit)
-
-
 def test_prime_count_to_ten_million():
     assert len(primes_up_to(10**7)) == 664_579
 
 
-def test_segments_sit_on_the_fixed_grid():
-    # the block boundaries fix every block-wise sum, so they are a contract
-    limit = 3 * 10**6 + 1
-    root = isqrt(limit)
-    plan = primes.SievePlan(limit)
-    assert plan.base.tolist() == trial_primes(root)
-    starts = range(root + 1, limit + 1, primes._BLOCK_SIZE)
-    assert plan.starts == starts
-    for lo in starts:
-        block = primes.sieve_segment(plan, lo)
-        hi = min(lo + primes._BLOCK_SIZE, limit + 1)
-        assert lo <= block[0] and block[-1] < hi
-        # first and last prime of the segment, checked by Miller-Rabin
-        assert not any(is_prime(n) for n in range(lo, int(block[0])))
-        assert not any(is_prime(n) for n in range(int(block[-1]) + 1, hi))
-        assert all(is_prime(int(p)) for p in block[[0, -1]])
+def test_mobius_up_to_matches_trial_division():
+    # mu(n) = (-1)^(number of prime factors) when n is squarefree, 0 otherwise
+    expected = [0]
+    for n in range(1, 1001):
+        f = trial_factorization(n)
+        expected.append(0 if any(e > 1 for e in f.values()) else (-1) ** len(f))
+    assert primes.mobius_up_to(1000) == expected
+    assert primes.mobius_up_to(0) == [0]

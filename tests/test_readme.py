@@ -58,3 +58,11 @@ def test_library_quickstart():
     assert namespace["witness"](namespace["cs"]) == (6, 30, 10)
     res = namespace["res"]
     assert res.lower <= res.value <= res.upper
+
+
+def test_printed_constant(commands, capsys):
+    # the example output under the command lines is what `constant` prints
+    (printed,) = _blocks("Command line", "text")
+    (argv,) = [a for a in commands if a[0] == "constant"]
+    assert _run([a for a in argv if a != "--trace"]) == 0
+    assert capsys.readouterr().out == printed
