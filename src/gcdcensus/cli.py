@@ -30,22 +30,33 @@ def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
-def _report(args, fields: dict) -> None:
-    """Print `fields` as one JSON object, or as `name value` lines.
+def _fraction(f: Fraction) -> str:
+    return f"{f.numerator}/{f.denominator}"
 
-    JSON has no infinity or NaN, so a non-finite float is null there; the
-    text lines print it as `inf` or `nan`.  An int past Python's limit on
-    decimal digits (sys.get_int_max_str_digits) is a resource limit.
-    """
+
+def _emit(render) -> None:
+    """Print the lines render() returns once all are built.  An int past
+    Python's limit on decimal digits (sys.get_int_max_str_digits) is a resource
+    limit, and then nothing is printed."""
     try:
-        if args.format == "json":
-            finite = {k: None if isinstance(v, float) and not isfinite(v) else v for k, v in fields.items()}
-            text = json.dumps(finite, allow_nan=False)
-        else:
-            text = "\n".join(f"{k} {_fmt(v) if isinstance(v, float) else v}" for k, v in fields.items())
+        lines = render()
     except ValueError as exc:  # only an int's conversion to decimal can raise here
         raise ResourceLimitError(f"the result is too long to print: {exc}") from None
-    print(text)
+    sys.stdout.write("".join(f"{line}\n" for line in lines))
+
+
+def _report(args, fields: dict, more=lambda: []) -> None:
+    """Print `fields` as one JSON object, its Fractions as "n/d" strings, or
+    as `name value` lines followed by the lines more() returns.
+
+    JSON has no infinity or NaN, so a non-finite float is null there; the
+    text lines print it as `inf` or `nan`.
+    """
+    if args.format == "json":
+        finite = {k: None if isinstance(v, float) and not isfinite(v) else v for k, v in fields.items()}
+        _emit(lambda: [json.dumps(finite, allow_nan=False, default=_fraction)])
+    else:
+        _emit(lambda: [f"{k} {_fmt(v) if isinstance(v, float) else v}" for k, v in fields.items()] + more())
 
 
 def _fmt_indices(indices) -> str:
@@ -146,8 +157,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    cs = _load(args.file)
-    print(" ".join(str(n) for n in admissibility.witness(cs)))
+    w = admissibility.witness(_load(args.file))
+    _emit(lambda: [" ".join(map(str, w))])
     return 0
 
 
@@ -160,17 +171,10 @@ def _cmd_constant(args) -> int:
         "upper": result.upper,
         "prime_cutoff": result.prime_cutoff,
     }
+    trace = result.factor_trace if args.trace else ()
     if args.format == "json":
-        trace = [
-            {"p": p, "factor": f"{f.numerator}/{f.denominator}", "value": float(f)}
-            for p, f in result.factor_trace
-        ]
-        _report(args, {**fields, "factor_trace": trace if args.trace else None})
-        return 0
-    _report(args, fields)
-    if args.trace:
-        for p, f in result.factor_trace:
-            print(f"factor {p} {f.numerator}/{f.denominator} {_fmt(float(f))}")
+        fields["factor_trace"] = [{"p": p, "factor": f, "value": float(f)} for p, f in trace] if args.trace else None
+    _report(args, fields, lambda: [f"factor {p} {_fraction(f)} {_fmt(float(f))}" for p, f in trace])
     return 0
 
 
@@ -211,11 +215,22 @@ def _view_json(view, factor: Fraction) -> dict:
         "reduced": [sorted(c.indices) for c in view.reduced.conditions],
         "i_set": sorted(view.i_set),
         "w_p": sorted(view.w_p),
-        "local_factor": {
-            "fraction": f"{factor.numerator}/{factor.denominator}",
-            "value": float(factor),
-        },
+        "local_factor": {"fraction": _fraction(factor), "value": float(factor)},
     }
+
+
+def _view_lines(view, factor: Fraction) -> list[str]:
+    return [
+        f"p {view.p}",
+        *(f"g {_fmt_indices(t)} {e}" for t, e in sorted(view.g.items(), key=lambda kv: sorted(kv[0]))),
+        *(f"v {i} {view.v[i]}" for i in sorted(view.v)),
+        f"z_set {_fmt_indices(view.z_set)}",
+        f"s_p {_fmt_indices(view.s_p)}",
+        f"reduced {' '.join(_fmt_indices(c.indices) for c in view.reduced.conditions)}",
+        f"i_set {_fmt_indices(view.i_set)}",
+        f"w_p {_fmt_indices(view.w_p)}",
+        f"local_factor {_fraction(factor)} {_fmt(float(factor))}",
+    ]
 
 
 def _cmd_factors(args) -> int:
@@ -227,22 +242,11 @@ def _cmd_factors(args) -> int:
         views = [padic._local_view(cs, p, w, *padic._orders(cs, p)) for p in padic.relevant_primes(cs)]
     else:
         views = [padic.local_view(cs, p, w) for p in primes]
-    factors = [density.local_factor(v) for v in views]
+    pairs = [(v, density.local_factor(v)) for v in views]
     if args.format == "json":
-        print(json.dumps([_view_json(v, f) for v, f in zip(views, factors)]))
-        return 0
-    for view, factor in zip(views, factors):
-        print(f"p {view.p}")
-        for t, e in sorted(view.g.items(), key=lambda kv: sorted(kv[0])):
-            print(f"g {_fmt_indices(t)} {e}")
-        for i in sorted(view.v):
-            print(f"v {i} {view.v[i]}")
-        print(f"z_set {_fmt_indices(view.z_set)}")
-        print(f"s_p {_fmt_indices(view.s_p)}")
-        print(f"reduced {' '.join(_fmt_indices(c.indices) for c in view.reduced.conditions)}")
-        print(f"i_set {_fmt_indices(view.i_set)}")
-        print(f"w_p {_fmt_indices(view.w_p)}")
-        print(f"local_factor {factor.numerator}/{factor.denominator} {_fmt(float(factor))}")
+        _emit(lambda: [json.dumps([_view_json(v, f) for v, f in pairs])])
+    else:
+        _emit(lambda: [line for v, f in pairs for line in _view_lines(v, f)])
     return 0
 
 

@@ -12,9 +12,10 @@ The product splits at H = min(prime cutoff, 1000).  The head multiplies
 the exact factors at the primes p <= H and at the target primes, rounded
 only at the working precision of `decimal`.  The tail over the other
 primes is exp of sum_j a_j P(j), where log q(t) = sum_j a_j t^j and P(s)
-is the prime zeta function over the primes p > H, a Mobius sum of logs
-of zeta(ms) times the Euler factors at p <= H (H. Cohen 1998; Ettahri,
-Ramare and Surel, Math. Comp. 90, 2021).  zeta comes from Euler-Maclaurin.
+is the prime zeta function over the primes p > H.  Mobius inversion sums
+it as sum_n e_n/n log(zeta(n) prod_{p<=H} (1 - p^-n)) with integer e_n
+(H. Cohen 1998; Ettahri, Ramare and Surel, Math. Comp. 90, 2021), and
+zeta comes from Borwein's alternating series with integer weights.
 Fujiwara's bound R on the roots of t^d q(1/t) bounds the a_j, so H >= 2R
 bounds the series' dropped terms; the reported interval carries that
 bound and a rounding budget, rounded outward, and holds the full product.
@@ -26,7 +27,7 @@ import operator
 from bisect import bisect_left
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
-from itertools import count
+from itertools import accumulate, count, takewhile
 from math import comb, exp, inf, log, log10, nextafter, prod
 from typing import Iterable
 
@@ -50,9 +51,6 @@ DEFAULT_PRIME_CUTOFF = 1000
 
 # The tail's dropped terms, and apart from them its roundings, stay below 10^-_TAIL_DIGITS.
 _TAIL_DIGITS = 20
-
-# B_0, B_1, ...: Bernoulli numbers for Euler-Maclaurin, extended on demand and kept per process.
-_BERNOULLI = [Fraction(1), Fraction(-1, 2)]
 
 
 class FactorPolynomial(Record):
@@ -187,30 +185,21 @@ def _checked_cutoff(prime_cutoff: int) -> int:
     return cutoff
 
 
-def _bernoulli(n: int) -> Fraction:
-    """B_n (B_1 = -1/2), from sum_{i<=n} C(n+1, i) B_i = 0, kept in _BERNOULLI."""
-    while len(_BERNOULLI) <= n:
-        m = len(_BERNOULLI)
-        b = Fraction(0) if m % 2 else -sum(comb(m + 1, i) * b for i, b in enumerate(_BERNOULLI) if b) / (m + 1)
-        _BERNOULLI.append(b)
-    return _BERNOULLI[n]
+def _zeta_weights(n: int) -> list[Decimal]:
+    """(-1)^k (d_n - d_k) / d_n for k < n in the current decimal context, where
+    d_k = n sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!) is an integer (P. Borwein,
+    "An efficient algorithm for the Riemann zeta function", 2000, algorithm 2)."""
+    terms = accumulate(range(n), lambda t, i: t * 2 * (n + i) * (n - i) // ((2 * i + 1) * (i + 1)), initial=1)
+    d = list(accumulate(terms))  # d_0..d_n; each term over the last divides exactly
+    return [(-1) ** k * Decimal(d[n] - d[k]) / d[n] for k in range(n)]
 
 
-def _zeta(s: int, n: int, tiny: Decimal) -> Decimal:
-    """zeta(s) for an integer s >= 2 in the current decimal context: the terms
-    below n summed, then Euler-Maclaurin from n, whose correction terms stop at
-    the first below tiny.  For real s the remainder is below that term."""
-    total = sum(Decimal(k) ** -s for k in range(1, n))
-    rest = Decimal(n) ** (1 - s)
-    total += rest / (s - 1) + rest / (2 * n)
-    r = rest * s / (2 * n * n)  # s(s+1)...(s+2i-2) n^(1-s-2i) / (2i)! at i = 1
-    for i in count(1):
-        b = _bernoulli(2 * i)
-        term = r * b.numerator / b.denominator
-        if abs(term) < tiny:
-            return total
-        total += term
-        r = r * (s + 2 * i - 1) * (s + 2 * i) / (n * n * (2 * i + 1) * (2 * i + 2))
+def _zeta(s: int, weights: list[Decimal], tiny: Decimal) -> Decimal:
+    """zeta(s) for an integer s >= 2 in the current decimal context: the sum of
+    weights[k-1] k^-s, stopped at the first k^-s below tiny, over 1 - 2^(1-s); within
+    6 (3+sqrt 8)^-n for n weights, since s >= 2 puts 1/(1 - 2^(1-s)) at most 2."""
+    powers = takewhile(tiny.__le__, (Decimal(k) ** -s for k in count(1)))
+    return sum(map(operator.mul, weights, powers)) / (1 - Decimal(2) ** (1 - s))
 
 
 def _log_series(coeffs: tuple[int, ...], terms: int) -> list[int]:
@@ -221,6 +210,13 @@ def _log_series(coeffs: tuple[int, ...], terms: int) -> list[int]:
     for j in range(2, terms):
         ja[j] = j * c[j] - sum(ja[i] * c[j - i] for i in range(2, j - 1))
     return ja
+
+
+def _exponents(ja: list[int], top: int) -> list[int]:
+    """e_n = sum_{j|n} mu(n/j) j a_j for n <= top, taking j a_j from ja: Mobius
+    inversion gives sum_j a_j sum_m mu(m)/m L(mj) = sum_n e_n/n L(n)."""
+    mu = mobius_up_to(top // 2)
+    return [sum(mu[n // j] * ja[j] for j in range(2, min(n + 1, len(ja))) if n % j == 0) for n in range(top + 1)]
 
 
 def _euler_product(
@@ -235,11 +231,12 @@ def _euler_product(
     DEFAULT_PRIME_CUTOFF) and at the special primes, rounded at the working
     precision only.  The tail, over the other primes, is exp of
     sum_j a_j P(j) less log q(1/p) at the special p > H, where
-    P(s) = sum_m mu(m)/m log(zeta(ms) prod_{p<=H} (1 - p^-ms)) is the sum of
-    p^-s over the primes p > H.  With q the least prime above H and R
+    P(s) = sum_m mu(m)/m L(ms) is the sum of p^-s over the primes p > H and
+    L(n) = log(zeta(n) prod_{p<=H} (1 - p^-n)); one loop over n sums it as
+    sum_n e_n/n L(n) (_exponents).  With q the least prime above H and R
     Fujiwara's bound on the roots of t^d q(1/t), |a_j| <= d R^j / j and
     P(j) <= q^-j (1 + q/(j-1)), so the terms j >= J add at most
-    d q (R/q)^J / (1 - R/q) to the log; m stops once q^-ms is below the
+    d q (R/q)^J / (1 - R/q) to the log; n stops once q^-n is below the
     working precision.  H < 2R is refused.
     """
     head_primes = primes_up_to(min(cutoff, DEFAULT_PRIME_CUTOFF))
@@ -270,34 +267,27 @@ def _euler_product(
     weight = 2 + len(far) + sum(map(abs, ja))
     digits = _TAIL_DIGITS + 7 + len(str(weight))
     top = int(digits / log10(q))  # q^-n is below the working precision past n = top
-    mu = mobius_up_to(top // 2)
+    e = _exponents(ja, top)
     with localcontext(Context(prec=digits)):
         tiny = Decimal(10) ** -digits
         head, log_tail = Decimal(1), Decimal(0)
         for p in head_primes + far:
             f = exact[p] if p in exact else poly.value_at(p)
             head *= Decimal(f.numerator) / f.denominator
-        for p in far:
-            f = poly.value_at(p)
-            log_tail -= (Decimal(f.numerator) / f.denominator).ln()
-        powers = [Decimal(p) for p in head_primes]
-        logs: dict[int, Decimal] = {}  # log(zeta(n) prod_{p<=H} (1 - p^-n)), by n
-        for j in range(2, terms):
-            prime_zeta = Decimal(0)
-            for m in range(1, top // j + 1):
-                if not mu[m]:
-                    continue
-                n = m * j
-                if n not in logs:
-                    euler = _zeta(n, digits, tiny)
-                    for p in powers:
-                        euler *= 1 - p**-n
-                    logs[n] = euler.ln()
-                prime_zeta += mu[m] * logs[n] / m
-            log_tail += prime_zeta * ja[j] / j
+        log_tail -= sum((Decimal(f.numerator) / f.denominator).ln() for f in map(poly.value_at, far))
+        weights = _zeta_weights(int((digits + 1) / log10(3 + 8**0.5)) + 1)  # 6 (3+sqrt 8)^-N < tiny
+        powers = inverse = [1 / Decimal(p) for p in head_primes]  # p^-n at the head primes, while >= tiny
+        for n in range(2, top + 1):
+            powers = [x for x in map(operator.mul, powers, inverse) if x >= tiny]
+            if e[n]:
+                euler = _zeta(n, weights, tiny)
+                for x in powers:
+                    euler *= 1 - x
+                log_tail += euler.ln() * e[n] / n
         value = head * log_tail.exp()
-        # about 10^3 roundings put each log(zeta(n) ...) within 10^(5-digits) and each P(j)
-        # within 10^(6-digits); the head, the logs at the far primes and exp add less
+        # Borwein's N terms and at most 168 factors 1 - p^-n take about 500 roundings, so each
+        # L(n) is within 10^(4-digits); sum_n |e_n|/n < 3 sum_j |j a_j| (top < 450) puts the
+        # tail within weight 10^(5-digits); the head, the logs at far primes and exp add less
         slack = Decimal(dropped) + weight * Decimal(10) ** (7 - digits)
         lower, upper = value * (-slack).exp(), value * slack.exp()
     return float(value), _to_float(lower, -inf), _to_float(upper, inf), h, exact

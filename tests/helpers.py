@@ -19,13 +19,17 @@ coordinate at a time, by inclusion-exclusion over its primes.
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb, exp, fsum, gcd, isqrt, log
 
 import numpy as np
 from hypothesis import strategies as st
 
+import gcdcensus
 from gcdcensus import AdmissibilityReport, Condition, ConditionSet, condition_set
 from gcdcensus.density import FactorPolynomial
 from gcdcensus.model import enumerate_independent_subsets, neighbors
@@ -401,3 +405,11 @@ def admissible_condition_sets(draw, max_k: int = 4, max_base: int = 30):
 @st.composite
 def subsets_of(draw, k: int):
     return frozenset(draw(st.lists(st.integers(1, k), unique=True)))
+
+
+def fresh_python(script: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run script in a new interpreter that imports this checkout's gcdcensus."""
+    src = os.path.dirname(os.path.dirname(gcdcensus.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=60)

@@ -2,8 +2,6 @@
 
 import json
 import os
-import subprocess
-import sys
 import time
 from itertools import combinations
 
@@ -12,6 +10,8 @@ import pytest
 import gcdcensus
 from gcdcensus import condition_set
 from gcdcensus.cli import document_dict, main, parse_document
+
+from helpers import fresh_python
 
 GOOD = {"k": 3, "conditions": [{"indices": [1, 2], "gcd": 6}, {"indices": [2, 3], "gcd": 10}]}
 BAD = {
@@ -24,16 +24,11 @@ BAD = {
 }
 PAIR2 = {"k": 2, "conditions": [{"indices": [1, 2], "gcd": 1}]}
 CHAIN = {"k": 3, "conditions": [{"indices": [1, 2], "gcd": 1}, {"indices": [2, 3], "gcd": 1}]}
+# results past Python's 4300-digit limit on int to str conversion
+LONG_WITNESS = {"k": 3, "conditions": [{"indices": [1, 2], "gcd": str(10**2500 + 1)}, {"indices": [1, 3], "gcd": str(10**2500 + 3)}]}
+MERSENNE12 = {"k": 12, "conditions": [{"indices": list(range(1, 13)), "gcd": str(2**1279 - 1)}]}
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]  # primes below 50
 SUBMODULES = [f"gcdcensus.{m}" for m in "admissibility cli counting density errors model padic primes".split()]
-
-
-def _fresh_python(script: str, *argv: str) -> subprocess.CompletedProcess:
-    """Run script in a new interpreter that imports this checkout's gcdcensus."""
-    src = os.path.dirname(os.path.dirname(gcdcensus.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=60)
 
 
 @pytest.fixture
@@ -164,7 +159,7 @@ assert "numpy" not in sys.modules, codes
 assert codes[-2:] == [0, 0], codes
 """
         docs = [write_doc(GOOD), str(broken), write_doc(bad, "bad.json"), write_doc(pairs, "pairs.json")]
-        run = _fresh_python(script, *docs)
+        run = fresh_python(script, *docs)
         assert run.returncode == 0, run.stderr
         assert run.stdout.splitlines() == [
             "admissible",
@@ -472,6 +467,25 @@ class TestCountVerify:
         assert "too long to print" in captured.err
 
     @pytest.mark.parametrize(
+        "doc, argv",
+        [
+            (LONG_WITNESS, ["witness"]),
+            (MERSENNE12, ["constant", "--trace"]),
+            (MERSENNE12, ["constant", "--trace", "--format", "json"]),
+            (MERSENNE12, ["factors"]),
+            (MERSENNE12, ["factors", "--format", "json"]),
+        ],
+        ids=["witness", "constant-trace", "constant-trace-json", "factors", "factors-json"],
+    )
+    def test_result_too_long_to_print_is_resource_exit(self, write_doc, capsys, doc, argv):
+        # the witness's first entry has 5001 digits, and the local factor at
+        # 2^1279 - 1 on 12 indices a denominator of thousands; nothing is printed
+        assert main([argv[0], write_doc(doc), *argv[1:]]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "the result is too long to print" in captured.err
+
+    @pytest.mark.parametrize(
         "doc, count",
         [
             ({"k": 2, "conditions": []}, 10**800),  # x**k
@@ -584,7 +598,7 @@ print(json.dumps({"rc": rc, "out": out.getvalue(), "lazy": lazy, "loaded": sorte
 """
 
     def _launch(self, *argv):
-        run = _fresh_python(self.LAUNCH, *argv)
+        run = fresh_python(self.LAUNCH, *argv)
         assert run.returncode == 0, run.stderr
         return json.loads(run.stdout)
 
@@ -631,7 +645,7 @@ absent = [n for n, m, f, *_ in tracer.TARGETS if not callable(getattr(sys.module
 print(json.dumps({"names": names, "absent": absent, "targets": len(tracer.TARGETS)}))
 """
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        run = _fresh_python(script, os.path.join(root, "perfbench", "tracer.py"))
+        run = fresh_python(script, os.path.join(root, "perfbench", "tracer.py"))
         assert run.returncode == 0, run.stderr
         state = json.loads(run.stdout)
         assert state["names"] == SUBMODULES

@@ -3,6 +3,7 @@ head and prime-zeta tail, against the truncated product's old certificate
 and an mpmath reference."""
 
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
@@ -34,6 +35,7 @@ from gcdcensus.primes import primes_up_to
 
 from helpers import (
     admissible_condition_sets,
+    fresh_python,
     mpmath_euler_product,
     mpmath_tail,
     naive_euler_product,
@@ -597,17 +599,59 @@ class TestCompletedProduct:
         ja = density._log_series(pairwise_coefficients(k), 40)
         assert ja[2:] == [-(k - 1) - (1 - k) ** j for j in range(2, 40)]
 
-    def test_bernoulli_numbers(self):
-        expected = [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30), Fraction(5, 66), Fraction(-691, 2730)]
-        assert [density._bernoulli(2 * i) for i in range(1, 7)] == expected
-        assert density._bernoulli(1) == Fraction(-1, 2) and density._bernoulli(13) == 0
+    @pytest.mark.parametrize("name", ["readme", "pairwise-k64", "4-wise-k14"])
+    def test_exponents_invert_to_the_log_series(self, name):
+        # e_n = sum_{j|n} mu(n/j) j a_j inverts back: sum_{n|J} e_n = J a_J
+        terms = 40
+        ja = density._log_series(generic_factor_polynomial(SYSTEMS[name]).coefficients, terms)
+        e = density._exponents(ja, terms - 1)
+        assert any(e)
+        for J in range(1, terms):
+            assert sum(e[n] for n in range(1, J + 1) if J % n == 0) == ja[J]
 
     def test_zeta_values(self):
         mpmath = pytest.importorskip("mpmath")
         from decimal import Decimal, localcontext
 
-        with localcontext() as ctx, mpmath.workdps(80):
+        n = 80  # Borwein's terms: 6 (3+sqrt 8)^-80 < 10^-60
+        with localcontext() as ctx, mpmath.workdps(100):
             ctx.prec = 60
-            for s in (2, 3, 4, 7, 20, 45):
-                got = density._zeta(s, 60, Decimal(10) ** -60)
-                assert abs(mpmath.mpf(str(got)) - mpmath.zeta(s)) < mpmath.mpf(10) ** -57
+            weights = density._zeta_weights(n)
+            # about 3n roundings of at most 10^(1-60) on terms at most 1 in size
+            bound = 6 * (3 + mpmath.sqrt(8)) ** -n + 3 * n * mpmath.mpf(10) ** (1 - 60)
+            for s in (2, 3, 4, 7, 20, 45, 80):
+                got = density._zeta(s, weights, Decimal(10) ** -60)
+                assert abs(mpmath.mpf(str(got)) - mpmath.zeta(s)) < bound
+
+
+# Eight threads behind a barrier, switching every microsecond, take the
+# Euler product of complete pairwise k=64 at once; then README's constant.
+RACE = """
+import json, sys, threading
+from gcdcensus import condition_set, constant, toth_pairwise_constant
+sys.setswitchinterval(1e-6)
+barrier, found = threading.Barrier(8), []
+def work():
+    barrier.wait()
+    found.append(toth_pairwise_constant(64).hex())
+threads = [threading.Thread(target=work) for _ in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+r = constant(condition_set(3, {(1, 2): 6, (2, 3): 10}))
+print(json.dumps([found, [r.value.hex(), r.lower.hex(), r.upper.hex(), r.prime_cutoff]]))
+"""
+
+
+def test_concurrent_callers_share_no_state():
+    # a module-level table grown on demand (the Bernoulli numbers of an earlier
+    # zeta) was corrupted in about one fresh interpreter in four; ten, each
+    # starting from nothing, saw it in three runs of four
+    expected = toth_pairwise_constant(64).hex()
+    for _ in range(10):  # one at a time: beside each other they collide less often
+        run = fresh_python(RACE)
+        assert run.returncode == 0, run.stderr
+        found, readme = json.loads(run.stdout)
+        assert found == [expected] * 8
+        assert tuple(readme) == PINNED
