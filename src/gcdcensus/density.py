@@ -35,7 +35,7 @@ from .admissibility import witness
 from .errors import CutoffTooSmallError, ResourceLimitError
 from .model import MAX_K, ConditionSet, Record, _bits
 from .padic import LocalView, _orders, core_masks, relevant_primes
-from .primes import is_prime, mobius_up_to, primes_up_to
+from .primes import is_prime, primes_up_to
 
 # Live states the subset sums may hold after any index: refusals took
 # 0.1-0.3 s and at most 60 MB on a 2-vCPU VM.
@@ -214,9 +214,13 @@ def _log_series(coeffs: tuple[int, ...], terms: int) -> list[int]:
 
 def _exponents(ja: list[int], top: int) -> list[int]:
     """e_n = sum_{j|n} mu(n/j) j a_j for n <= top, taking j a_j from ja: Mobius
-    inversion gives sum_j a_j sum_m mu(m)/m L(mj) = sum_n e_n/n L(n)."""
-    mu = mobius_up_to(top // 2)
-    return [sum(mu[n // j] * ja[j] for j in range(2, min(n + 1, len(ja))) if n % j == 0) for n in range(top + 1)]
+    inversion gives sum_j a_j sum_m mu(m)/m L(mj) = sum_n e_n/n L(n).  In
+    place: j a_j = sum_{d|j} e_d, so each e_d, final once its divisors are
+    done, comes off every multiple of d."""
+    e = [ja[n] if 2 <= n < len(ja) else 0 for n in range(top + 1)]
+    for d in range(2, top // 2 + 1):
+        e[2 * d :: d] = [v - e[d] for v in e[2 * d :: d]]
+    return e
 
 
 def _euler_product(

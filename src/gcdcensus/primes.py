@@ -4,8 +4,7 @@ integer factorization.
 Everything here is exact and pure Python.  `primes_up_to` is a bytearray
 sieve over the odd numbers, for the count's walk, the density constant's
 head, the Mobius table and factorization.  `mobius_up_to` is the one Mobius
-table, for `nymann_count`'s Mertens function and the prime-zeta tail of the
-density constant.  `trial_divisors`
+table, for `nymann_count`'s Mertens function.  `trial_divisors`
 yields the primes below 10^6 for factorization and for the inadmissibility
 diagnostic, which trial-divides the quotients' lcm before it factors
 anything; it sieves past 1000 only if its caller asks for more.  A cofactor

@@ -308,6 +308,10 @@ class TestWalk:
             (path(13, 2), 4, True),
             (path(10, 4), 8, True),  # count 144
             (path(11, 4), 8, True),  # count 233
+            # dense but not complete pairwise: the generic table stops at 3/4 of
+            # the 2^6 index sets, and all triples stop on 43 weighted sets of 64
+            (condition_set(6, dict.fromkeys(set(combinations(range(1, 7), 2)) - {(1, 2)}, 1)), 6, False),
+            (condition_set(6, dict.fromkeys(combinations(range(1, 7), 3), 1)), 6, False),
         ],
     )
     def test_dispatch_sides_agree_with_scan(self, cs, x, walk):
@@ -321,7 +325,7 @@ class TestWalk:
         "cs, x, walk",
         [
             (condition_set(4, {(1, 2): 12, (2, 3): 18, (3, 4): 6}), 40, True),
-            (pairwise(6, 6), 8, False),  # declined on its weights, after the target primes
+            (pairwise(6, 6), 8, False),  # complete pairwise: declined after the target primes
         ],
     )
     def test_count_factors_targets_once(self, cs, x, walk, monkeypatch):

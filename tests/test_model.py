@@ -145,12 +145,14 @@ class TestRecords:
                 build()
             assert str(info.value) == message
 
-    def test_local_view_stays_unhashable(self):
+    def test_local_view_hashes_by_value(self):
         cs = condition_set(3, self.README)
         view = local_view(cs, 2, find_cover(cs))
-        assert view == local_view(cs, 2, find_cover(cs))
-        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
-            hash(view)
+        again = local_view(cs, 2, find_cover(cs))
+        assert view == again and view is not again
+        assert hash(view) == hash(again)
+        assert {view: "p = 2"}[again] == "p = 2"
+        assert len({view, again, local_view(cs, 3, find_cover(cs))}) == 2
 
 
 class TestIsCover:
@@ -272,7 +274,7 @@ class TestFindCover:
         cs = condition_set(4, {(1, 2): 1, (2, 3): 1, (3, 4): 1, (1, 4): 1})
         assert find_cover(cs) == find_cover(cs)
 
-    @given(condition_sets(max_k=4))
+    @given(condition_sets(max_k=7))
     @settings(max_examples=60)
     def test_valid_minimal_and_avoids_isolated(self, cs):
         w = find_cover(cs)
@@ -285,11 +287,27 @@ class TestFindCover:
         )
         assert not smaller_exists, f"{sorted(w)} is not minimal"
 
-    def test_greedy_path_for_large_k(self):
-        cs = condition_set(30, {(i, i + 1): 1 for i in range(1, 30)})
+    @pytest.mark.parametrize(
+        "k, pairs, size",
+        [
+            # six Petersen graphs, vertex i as index 7i mod 60 + 1: each packs 4
+            # of its 10 vertices, where a greedy cover takes 41 indices
+            (60, [(7 * (10 * c + u) % 60 + 1, 7 * (10 * c + v) % 60 + 1)
+                  for c in range(6)
+                  for i in range(5)
+                  for u, v in ((i, (i + 1) % 5), (i, 5 + i), (5 + i, 5 + (i + 2) % 5))], 36),
+            (30, [(i, i + 1) for i in range(1, 30)], 15),  # path: every other index
+            (50, [(2 * i + 1, 2 * i + 2) for i in range(25)], 25),  # disjoint pairs: one of each
+            (48, [(i, j) for i in range(1, 25) for j in range(25, 49)], 24),  # K_{24,24}: one side
+            (64, list(itertools.combinations(range(1, 65), 2)), 63),  # complete pairwise: all but one
+        ],
+        ids=["six-petersen", "path-30", "pairs-25", "bipartite-24-24", "pairwise-64"],
+    )
+    def test_known_smallest_above_k_24(self, k, pairs, size):
+        cs = condition_set(k, {pair: 1 for pair in pairs})
         w = find_cover(cs)
-        assert is_cover(cs, w)
-        assert not (w & isolated_indices(cs))
+        assert is_cover(cs, w) and not (w & isolated_indices(cs))
+        assert len(w) == size
 
 
 class TestCanonicalWitness:
