@@ -135,9 +135,12 @@ def _parse_ints(raw: str | None, flag: str):
     if raw is None:
         return None
     try:
-        return [int(s) for s in raw.split(",") if s.strip()]
+        ints = [int(s) for s in raw.split(",") if s.strip()]
     except ValueError:
+        ints = []
+    if not ints:  # a list naming nothing would ask for nothing
         raise ValueError(f"{flag}: expected comma-separated integers, got {raw!r}")
+    return ints
 
 
 def _prime_bound(args) -> int:

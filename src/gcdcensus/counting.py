@@ -10,16 +10,17 @@ free factor x), and then
 with g(d) = prod_p g_p(v_p(d)): the Dirichlet-series view of the paper.
 At each prime, `_local_patterns` lists the index sets S where g_p(v + S),
 v the forced orders, is nonzero, from the cores of padic.core_masks that
-the density constant sums too; g_p vanishes at every other pattern.
-`_walk` sums the series prime by prime in ascending order with exact ints.
-It loses to `_scan`, a depth-first box scan over per-position bitsets, on
-dense systems with many active coordinates, so the walk declines those
-(returns None) from the system alone, before it sums anything, and `count`
-then runs the scan.  Each kernel charges its work to one budget, a loop
-at a time, and refuses once the work would pass it.  The tests keep
-full-box enumeration as the oracle for both, the finite difference of
-delta_p on a dense exponent grid and the subset Mobius transform over all
-2^m sets for the tables, and
+the density constant sums too; g_p vanishes at every other pattern.  Every
+solution is a multiple of the canonical witness n, so `_walk` sums the
+series over the quotients x // n_i, prime by prime in ascending order with
+exact ints, and sieves only to the largest quotient.  It loses to `_scan`,
+a depth-first box scan over per-position bitsets, on dense systems with
+many active coordinates, so the walk declines those (returns None) from
+the system alone, before it sums anything, and `count` then runs the scan.
+Each kernel charges its work to one budget, a loop at a time, and refuses
+once the work would pass it.  The tests keep full-box enumeration as the
+oracle for both, the finite difference of delta_p on a dense exponent grid
+and the subset Mobius transform over all 2^m sets for the tables, and
 `nymann_count`, a Mobius sum over the Mertens function, as an independent
 oracle for the fully-coprime system.  Everything here is pure Python.
 """
@@ -191,49 +192,47 @@ def _walk(sub: ConditionSet, x: int, budget: int = _COUNT_STEPS) -> int | None:
     side (timings in CHANGES.md).  The generic table stops early once the
     unions of conditions, which hold those S, pass three quarters of the sets.
 
-    The target primes' tables come first, from their cores: each row S is
-    a divisor vector p^(v_i + S_i) that merges the partial products into
-    distinct quotient vectors y = floor(x / d), rows with a divisor above y
-    dropped; every other prime then multiplies some dependent S by p, in
-    ascending order.  At a node, one bitmask test per pattern keeps those
-    whose indices all still hold the next prime.  For each, the node takes
-    primes one at a time, recursing into each child, while a further prime
-    can still fit a minimal condition set (every S with g(S) != 0 contains
-    one).  It sums the remaining primes up to the pattern's limit min y_i
-    one at a time below about 4 sqrt(y), where runs are short, and above
-    that over runs of equal quotients floor(y_i / q), counting each run's
-    primes by bisection (Deleglise and Rivat 1996): O(sqrt(y)) steps, not
-    pi(y).  Every term is an exact Python int.  Every table entry, node
-    merge, sieved number, node and run is charged before the walk makes it,
-    and the single primes of a pattern as their loop ends: at most
-    pi(4 sqrt(x)) of them.
+    The walk starts at the quotients x // n_i of the canonical witness n
+    and sieves only to the largest.  The target primes' tables come first,
+    from their cores: each row S divides the indices in S by p, merging the
+    partial products into distinct quotient vectors y, y_i = x // (n_i d_i),
+    rows with a divisor above y dropped; every other prime then multiplies some
+    dependent S by p, in ascending order.  At a node, one bitmask test per
+    pattern keeps those whose indices all still hold the next prime.  For
+    each, the node takes primes one at a time, recursing into each child,
+    while a further prime can still fit a minimal condition set (every S
+    with g(S) != 0 contains one).  It sums the remaining primes up to the
+    pattern's limit min y_i one at a time below about 4 sqrt(y), where runs
+    are short, and above that over runs of equal quotients floor(y_i / q),
+    counting each run's primes by bisection (Deleglise and Rivat 1996):
+    O(sqrt(y)) steps, not pi(y).  Every term is an exact Python int.  Every
+    table entry, node merge, sieved number, node and run is charged before
+    the walk makes it, and the single primes of a pattern as their loop
+    ends: at most pi(4 sqrt(max y)) of them.
     """
     m = sub.k
     if m > _WALK_MAX_ACTIVE:
         return None
     charge = _meter("walk", budget)
-    special = relevant_primes(sub)
-    targets = []
-    for p in special:
-        orders, forced = _orders(sub, p)
-        targets.append((p, forced, core_masks(orders, forced)[1]))
     masks = sub.edge_masks
     if m > 4 and sum(e.bit_count() == 2 for e in masks) == m * (m - 1) // 2:
         return None  # every pair is a condition: no unions needed
     sets, set_weights = _local_patterns(masks, charge, 3 << m - 2 if m > 4 else inf)
     if m > 4 and (not sets or 2 * len(sets) > 1 << m):
         return None
-    charge(x // 16)  # the sieve to x and its list of primes (about 100 MB at most), before any node
+    root = tuple(x // n for n in canonical_witness(sub))
+    largest = max(root)
+    charge(largest // 16)  # the sieve to it and its list of primes (about 100 MB at most), before any node
 
-    nodes = {(x,) * m: 1}
-    for p, forced, cores in targets:
-        low = [p ** forced[i] for i in range(1, m + 1)]
-        # a row raising an index outside fits exceeds x, and only the cores
-        # inside fits decide g on the other rows
-        fits = sum(1 << i for i, d in enumerate(low) if d * p <= x)
+    nodes = {root: 1}
+    special = relevant_primes(sub)
+    for p in special:
+        # a row raising an index outside fits sends its quotient to 0, and
+        # only the cores inside fits decide g on the other rows
+        fits = sum(1 << i for i, y in enumerate(root) if y >= p)
+        cores = [c for c in core_masks(*_orders(sub, p))[1] if not c & ~fits]
         table = [
-            (tuple(d * p if s >> i & 1 else d for i, d in enumerate(low)), g)
-            for s, g in zip(*_local_patterns((c for c in cores if not c & ~fits), charge))
+            (tuple(p if s >> i & 1 else 1 for i in range(m)), g) for s, g in zip(*_local_patterns(cores, charge))
         ]
         charge(len(nodes) * len(table) * (1 + m // 4))
         merged: dict[tuple[int, ...], int] = {}
@@ -249,8 +248,8 @@ def _walk(sub: ConditionSet, x: int, budget: int = _COUNT_STEPS) -> int | None:
     members: dict[int, list[int]] = {}  # filled as patterns first go live
     charge(len(nodes))  # a call per node
     skip = set(special)
-    ps = [p for p in primes_up_to(x) if p not in skip]
-    ps.append(x + 1)  # never fits
+    ps = [p for p in primes_up_to(largest) if p not in skip]
+    ps.append(largest + 1)  # never fits
     patterns = list(zip(sets[1:], set_weights[1:]))  # the empty set is the node itself
 
     def below(y: list[int], w: int, start: int, patterns: list[tuple[int, int]]) -> int:

@@ -2,13 +2,14 @@
 
 Fix a prime p and take p-adic orders everywhere: each condition's target
 contributes an exponent g(T), and each coordinate i inherits a forced
-minimum exponent v[i] = max g(T) over the conditions containing i.  Some
-coordinates are then pinned to exactly v[i] (the z_set): those sitting in
-a condition all of whose other members are forced strictly above its
-exponent.  What remains of each condition, after pinned coordinates and
-non-attaining coordinates are stripped, is a residual all-targets-one
+minimum exponent v[i] = max g(T) over the conditions containing i.  A
+condition's core is the set of its members i with v[i] = g(T), the ones
+that can realize its minimum (core_masks).  The singleton cores pin their
+coordinate to exactly v[i] (the z_set): a condition all of whose other
+members are forced strictly above its exponent.  What remains of each
+condition without a pinned member is its core: a residual all-targets-one
 system recording which coordinates must still drop to their minimum
-simultaneously.  The density module reads each condition's core off core_masks.
+simultaneously.  The density module reads the cores too.
 """
 
 from __future__ import annotations
@@ -95,23 +96,16 @@ def core_masks(g: dict[frozenset[int], int], v: dict[int, int]) -> tuple[int, li
 
 
 def z_set(cs: ConditionSet, p: int) -> frozenset[int]:
-    """Coordinates whose exponent at p is pinned to exactly v[i].
+    """Coordinates whose exponent at p is pinned to exactly v[i]: the
+    singleton cores.
 
-    i is pinned when some condition containing i forces every *other*
-    member strictly above the condition's exponent, leaving i alone to
-    realize the minimum.
+    {i} is a condition's core when every *other* member is forced strictly
+    above the condition's exponent, leaving i alone to realize the minimum.
+    A condition that no member attains, which only an inadmissible system
+    has, has an empty core and pins nothing.
     """
-    return _pinned(cs, *valuations(cs, p))
-
-
-def _pinned(cs: ConditionSet, g, v) -> frozenset[int]:
-    out = set()
-    for c in cs.conditions:
-        gt = g[c.indices]
-        for i in c.indices:
-            if i not in out and all(v[j] > gt for j in c.indices if j != i):
-                out.add(i)
-    return frozenset(out)
+    cores = core_masks(*valuations(cs, p))[1]
+    return _set_of(sum({c for c in cores if c.bit_count() == 1}))  # distinct bits: their sum is their union
 
 
 def local_view(cs: ConditionSet, p: int, cover: Iterable[int]) -> LocalView:
@@ -133,11 +127,12 @@ def local_view(cs: ConditionSet, p: int, cover: Iterable[int]) -> LocalView:
 
 def _local_view(cs: ConditionSet, p: int, w: frozenset[int], g, v) -> LocalView:
     """local_view with a checked cover w and the valuations g, v at p."""
-    z = _pinned(cs, g, v)
+    cores = core_masks(g, v)[1]
+    pinned = sum({c for c in cores if c.bit_count() == 1})  # the union of the singleton cores
+    z = _set_of(pinned)
     s_p = frozenset(range(1, cs.k + 1)) - z
-    pinned = _mask_of(z)
     kept: dict[int, None] = {}
-    for c, core in zip(cs.conditions, core_masks(g, v)[1]):
+    for c, core in zip(cs.conditions, cores):
         if core & pinned:
             # a pinned coordinate already attains the minimum: nothing left
             continue

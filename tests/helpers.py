@@ -3,7 +3,8 @@
 Everything here is deliberately independent of the library's computation
 paths: the enumeration oracle walks tuples with itertools and math.gcd,
 the admissibility and witness oracles apply the criterion prime by prime
-with primes and valuations found by trial division, the local-factor
+with primes and valuations found by trial division, the pin oracle
+compares those orders pair by pair, the local-factor
 oracle sums capped geometric valuation probabilities directly, the
 local-pattern oracles take finite differences on a dense exponent grid
 and the subset Mobius transform over all 2^m index sets,
@@ -156,6 +157,15 @@ def naive_valuations(cs: ConditionSet, p: int):
         for i in range(1, cs.k + 1)
     }
     return g, v
+
+
+def naive_pins(cs: ConditionSet, p: int) -> frozenset[int]:
+    """The indices i that some condition leaves alone at its exponent: every
+    other member's order is forced strictly above it, compared pair by pair."""
+    g, v = naive_valuations(cs, p)
+    return frozenset(
+        i for c in cs.conditions for i in c.indices if all(v[j] > g[c.indices] for j in c.indices - {i})
+    )
 
 
 def trial_primes(cs: ConditionSet) -> list[int]:
@@ -381,10 +391,14 @@ def condition_sets(draw, max_k: int = 4, max_value: int = 6, allow_empty: bool =
 
 
 @st.composite
-def admissible_condition_sets(draw, max_k: int = 4, max_base: int = 30):
-    """Admissible-by-construction small systems (targets from a base tuple)."""
+def admissible_condition_sets(draw, max_k: int = 4, max_base: int = 30, bases=None):
+    """Admissible-by-construction small systems (targets from a base tuple).
+
+    The base entries come from `bases` when given, else from 1..max_base.
+    """
     k = draw(st.integers(2, max_k))
-    base = draw(st.lists(st.integers(1, max_base), min_size=k, max_size=k))
+    bases = st.integers(1, max_base) if bases is None else bases
+    base = draw(st.lists(bases, min_size=k, max_size=k))
     all_edges = [
         frozenset(c)
         for size in range(2, k + 1)

@@ -103,8 +103,9 @@ class TestParsing:
 
     @pytest.mark.parametrize("command, flag", [("factors", "--primes")])
     def test_bad_integer_list_exits_2_naming_the_flag(self, write_doc, capsys, command, flag):
-        assert main([command, write_doc(GOOD), flag, "1,x"]) == 2
-        assert f"error: {flag}: expected comma-separated integers" in capsys.readouterr().err
+        for raw in ("1,x", "", ","):  # an empty list names no prime
+            assert main([command, write_doc(GOOD), flag, raw]) == 2
+            assert f"error: {flag}: expected comma-separated integers, got {raw!r}" in capsys.readouterr().err
 
 
 class TestCheck:

@@ -208,11 +208,29 @@ class TestWalk:
 
     @pytest.mark.parametrize(
         "targets, x",
-        [({(1, 2): 4, (2, 3): 8}, 17), ({(1, 2, 3): 9}, 20), ({(1, 2): 12, (1, 3): 9}, 30), ({(1, 2): 7}, 6)],
+        [
+            ({(1, 2): 4, (2, 3): 8}, 17),
+            ({(1, 2, 3): 9}, 20),
+            ({(1, 2): 12, (1, 3): 9}, 30),
+            ({(1, 2): 7}, 6),
+            ({(1, 2): 7, (2, 3): 1}, 6),  # the quotient box (0, 0, 6): no solution
+        ],
     )
     def test_prime_powers_and_targets_above_x(self, targets, x):
         cs = condition_set(3, targets)
         assert counting._walk(cs, x) == naive_count(cs, x)
+
+    def test_sieves_to_the_largest_quotient(self, monkeypatch):
+        # README's witness is (6, 30, 10): the walk's primes stop at 6000 // 6
+        bounds = []
+
+        def sieve(n):
+            bounds.append(n)
+            return primes.primes_up_to(n)
+
+        monkeypatch.setattr(counting, "primes_up_to", sieve)
+        assert counting._walk(README, 6000) == readme_count(6000)
+        assert bounds == [1000]
 
     @given(condition_sets(max_k=8, allow_empty=False))
     @settings(max_examples=60, deadline=None)
@@ -325,7 +343,7 @@ class TestWalk:
         "cs, x, walk",
         [
             (condition_set(4, {(1, 2): 12, (2, 3): 18, (3, 4): 6}), 40, True),
-            (pairwise(6, 6), 8, False),  # complete pairwise: declined after the target primes
+            (pairwise(6, 6), 8, False),  # complete pairwise: declined before the target primes
         ],
     )
     def test_count_factors_targets_once(self, cs, x, walk, monkeypatch):
@@ -337,7 +355,7 @@ class TestWalk:
 
         monkeypatch.setattr(counting, "relevant_primes", counted)
         count(cs, x)
-        assert calls == [cs]
+        assert calls == ([cs] if walk else [])  # a declined system factors nothing
         assert (counting._walk(cs, x) is not None) is walk
 
     # the count-dense benchmark systems without an oracle in the benchmark

@@ -22,6 +22,7 @@ from helpers import (
     admissible_condition_sets,
     composite_targets,
     condition_sets,
+    naive_pins,
     naive_valuations,
     random_admissible,
 )
@@ -98,6 +99,20 @@ class TestZSet:
     def test_off_support_prime_is_empty(self):
         cs = condition_set(3, {(1, 2): 6, (2, 3): 10})
         assert z_set(cs, 7) == frozenset()
+
+    @given(admissible_condition_sets(max_k=6, bases=composite_targets))
+    @settings(max_examples=100, deadline=None)
+    def test_singleton_cores_are_the_pairwise_pins(self, cs):
+        cover = find_cover(cs)
+        for p in sorted({*relevant_primes(cs), 2, 3, 5, 7}):
+            assert z_set(cs, p) == local_view(cs, p, cover).z_set == naive_pins(cs, p)
+
+    def test_unattained_condition_pins_nothing(self):
+        # at 2, (2,3) has exponent 0 and both members order 1: its core is
+        # empty, where the pairwise rule pins both
+        cs = condition_set(3, {(1, 2): 2, (1, 3): 2, (2, 3): 1})
+        assert naive_pins(cs, 2) == {2, 3}
+        assert z_set(cs, 2) == frozenset()
 
 
 class TestReduce:
