@@ -8,21 +8,21 @@ free factor x), and then
     count(x) = sum over d in [1, x]^m of g(d) * prod_i floor(x / d_i),
 
 with g(d) = prod_p g_p(v_p(d)): the Dirichlet-series view of the paper.
-At each prime, `_local_patterns` lists the index sets S where g_p(v + S),
-v the forced orders, is nonzero, from the cores of padic.core_masks that
-the density constant sums too; g_p vanishes at every other pattern.  Every
-solution is a multiple of the canonical witness n, so `_walk` sums the
-series over the quotients x // n_i, prime by prime in ascending order with
-exact ints, and sieves only to the largest quotient.  It loses to `_scan`,
-a depth-first box scan over per-position bitsets, on dense systems with
-many active coordinates, so the walk declines those (returns None) from
-the system alone, before it sums anything, and `count` then runs the scan.
-Each kernel charges its work to one budget, a loop at a time, and refuses
-once the work would pass it.  The tests keep full-box enumeration as the
-oracle for both, the finite difference of delta_p on a dense exponent grid
-and the subset Mobius transform over all 2^m sets for the tables, and
-`nymann_count`, a Mobius sum over the Mertens function, as an independent
-oracle for the fully-coprime system.  Everything here is pure Python.
+At each prime, `_local_patterns` lists the index sets S where g_p(v + S), v the
+forced orders, is nonzero, from the cores of padic.core_masks that the density
+constant sums too; g_p vanishes at every other pattern.  Every solution is a
+multiple of the canonical witness n, so `_walk` sums the series over the
+quotients x // n_i, prime by prime in ascending order with exact ints; it
+sieves to the largest quotient, and its target primes are the sieved primes
+dividing n, so nothing is factored.  On dense systems with many active
+coordinates it loses to `_scan`, a depth-first box scan over per-position
+bitsets, so it declines those (returns None) before it sums anything, and
+`count` runs the scan.  Each kernel charges its work to one budget, a loop at a
+time, and refuses once the work would pass it.  The tests keep full-box
+enumeration as the oracle for both, the finite difference of delta_p on a dense
+exponent grid and the subset Mobius transform over all 2^m sets for the tables,
+and `nymann_count`, a Mobius sum over the Mertens function, for the
+fully-coprime system.  Everything here is pure Python.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 from .errors import ResourceLimitError
 from .model import Condition, ConditionSet, Record, _bits, canonical_witness, delta, isolated_indices, neighbors
-from .padic import _orders, core_masks, relevant_primes
+from .padic import _orders, core_masks
 from .primes import mobius_up_to, primes_up_to
 
 if TYPE_CHECKING:
@@ -75,15 +75,12 @@ def count(cs: ConditionSet, x: int) -> int:
 
     Coordinates in no condition contribute a free factor of x each; the rest
     are counted by the prime-pattern walk, or by the pruned box scan where
-    the walk declines the system.  Either kernel raises ResourceLimitError
-    once its work would pass _COUNT_STEPS steps of about 1 us.
+    the walk declines after its witness check.  Neither factors a target, and
+    either raises ResourceLimitError past _COUNT_STEPS steps of about 1 us.
     """
     x = operator.index(x)
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    n = canonical_witness(cs)
-    if max(n) > x or not delta(cs, n):
-        return 0  # every solution is a multiple of the witness
     active = sorted(set(range(1, cs.k + 1)) - isolated_indices(cs))
     if not active:
         return x**cs.k
@@ -91,9 +88,7 @@ def count(cs: ConditionSet, x: int) -> int:
     renumbered = (Condition(frozenset(rank[i] for i in c.indices), c.value) for c in cs.conditions)
     sub = ConditionSet(len(active), tuple(renumbered))
     hits = _walk(sub, x)
-    if hits is None:
-        hits = _scan(sub, x)
-    return hits * x ** (cs.k - sub.k)
+    return (_scan(sub, x) if hits is None else hits) * x ** (cs.k - sub.k)
 
 
 def _meter(kernel: str, budget: int) -> Callable[[int], None]:
@@ -181,9 +176,9 @@ def _local_patterns(
 
 
 def _walk(sub: ConditionSet, x: int, budget: int = _COUNT_STEPS) -> int | None:
-    """Solutions in [1, x]^m of sub, by the series sum of g(d) *
-    prod_i floor(x / d_i) over d in [1, x]^m; None, before any summing,
-    where the box scan is the better kernel.
+    """Solutions in [1, x]^m of sub, by the series sum of g(d) * prod_i
+    floor(x / d_i) over d in [1, x]^m: 0 unless the canonical witness n is a
+    solution in the box, then None, before any summing, where the scan wins.
 
     The walk declines m > 16, and m > 4 when every pair of indices is a
     condition or more than half of the 2^m index sets S have g(S) != 0: its
@@ -192,25 +187,30 @@ def _walk(sub: ConditionSet, x: int, budget: int = _COUNT_STEPS) -> int | None:
     side (timings in CHANGES.md).  The generic table stops early once the
     unions of conditions, which hold those S, pass three quarters of the sets.
 
-    The walk starts at the quotients x // n_i of the canonical witness n
-    and sieves only to the largest.  The target primes' tables come first,
+    It starts at the quotients x // n_i and sieves only to the largest; the
+    sieved primes that divide n are its target primes, whose tables come first,
     from their cores: each row S divides the indices in S by p, merging the
     partial products into distinct quotient vectors y, y_i = x // (n_i d_i),
-    rows with a divisor above y dropped; every other prime then multiplies some
+    rows with a divisor above y dropped.  A target prime above every quotient,
+    left unsieved, would keep only the empty row, of weight 1 as the witness
+    check leaves no core empty.  Every other prime then multiplies some
     dependent S by p, in ascending order.  At a node, one bitmask test per
-    pattern keeps those whose indices all still hold the next prime.  For
-    each, the node takes primes one at a time, recursing into each child,
-    while a further prime can still fit a minimal condition set (every S
-    with g(S) != 0 contains one).  It sums the remaining primes up to the
-    pattern's limit min y_i one at a time below about 4 sqrt(y), where runs
-    are short, and above that over runs of equal quotients floor(y_i / q),
-    counting each run's primes by bisection (Deleglise and Rivat 1996):
-    O(sqrt(y)) steps, not pi(y).  Every term is an exact Python int.  Every
-    table entry, node merge, sieved number, node and run is charged before
-    the walk makes it, and the single primes of a pattern as their loop
-    ends: at most pi(4 sqrt(max y)) of them.
+    pattern keeps those whose indices all still hold the next prime.  For each,
+    the node takes primes one at a time, recursing into each child, while a
+    further prime can still fit a minimal condition set (every S with g(S) != 0
+    contains one).  It sums the remaining primes up to the pattern's limit min
+    y_i one at a time below about 4 sqrt(y), where runs are short, and above
+    that over runs of equal quotients floor(y_i / q), counting each run's
+    primes by bisection (Deleglise and Rivat 1996): O(sqrt(y)) steps, not
+    pi(y).  Every term is an exact Python int.  Every table entry, node merge,
+    sieved number, remainder, node and run is charged before the walk makes it,
+    and the single primes of a pattern as their loop ends: at most
+    pi(4 sqrt(max y)) of them.
     """
     m = sub.k
+    n = canonical_witness(sub)
+    if max(n) > x or not delta(sub, n):
+        return 0  # every solution is a multiple of the witness
     if m > _WALK_MAX_ACTIVE:
         return None
     charge = _meter("walk", budget)
@@ -220,13 +220,17 @@ def _walk(sub: ConditionSet, x: int, budget: int = _COUNT_STEPS) -> int | None:
     sets, set_weights = _local_patterns(masks, charge, 3 << m - 2 if m > 4 else inf)
     if m > 4 and (not sets or 2 * len(sets) > 1 << m):
         return None
-    root = tuple(x // n for n in canonical_witness(sub))
+    root = tuple(x // v for v in n)
     largest = max(root)
     charge(largest // 16)  # the sieve to it and its list of primes (about 100 MB at most), before any node
+    sieved, whole = primes_up_to(largest), prod(n)
+    charge(len(sieved) * (455 + whole.bit_length()) // 3500)  # a remainder: 0.13 us, and 1 us per 3500 bits
 
-    nodes = {root: 1}
-    special = relevant_primes(sub)
-    for p in special:
+    nodes, ps = {root: 1}, []  # ps: the sieved primes that divide no target
+    for p in sieved:
+        if whole % p:
+            ps.append(p)
+            continue
         # a row raising an index outside fits sends its quotient to 0, and
         # only the cores inside fits decide g on the other rows
         fits = sum(1 << i for i, y in enumerate(root) if y >= p)
@@ -247,8 +251,6 @@ def _walk(sub: ConditionSet, x: int, budget: int = _COUNT_STEPS) -> int | None:
     edges = [operator.itemgetter(*(i for i in range(m) if e >> i & 1)) for e in minimal]  # two or more each
     members: dict[int, list[int]] = {}  # filled as patterns first go live
     charge(len(nodes))  # a call per node
-    skip = set(special)
-    ps = [p for p in primes_up_to(largest) if p not in skip]
     ps.append(largest + 1)  # never fits
     patterns = list(zip(sets[1:], set_weights[1:]))  # the empty set is the node itself
 

@@ -33,8 +33,8 @@ from .primes import _MAX_COFACTOR_BITS, factorize, is_prime
 def padic_order(n: int, p: int) -> int:
     """Exponent of the prime p in n (n >= 1)."""
     n = int(n)
-    if n < 1:
-        raise ValueError(f"expected a positive integer, got {n}")
+    if n < 1 or p < 2:  # n % p == 0 would hold forever at p = 1 or -1, and raise at 0
+        raise ValueError(f"expected n >= 1 and p >= 2, got n = {n}, p = {p}")
     e = 0
     while n % p == 0:
         n //= p
@@ -83,7 +83,7 @@ def valuations(cs: ConditionSet, p: int) -> tuple[dict[frozenset[int], int], dic
 
 
 def _orders(cs: ConditionSet, p: int) -> tuple[dict[frozenset[int], int], dict[int, int]]:
-    """valuations at a p that factorize has proven prime: one of relevant_primes."""
+    """valuations at a p known to be prime: one of relevant_primes, or a sieved one."""
     g = {c.indices: padic_order(c.value, p) for c in cs.conditions}
     v = {i: padic_order(n, p) for i, n in enumerate(canonical_witness(cs), 1)}
     return g, v

@@ -292,10 +292,29 @@ assert codes[-2:] == [0, 0], codes
         big = 1000002000007
         doc = write_doc({"k": 2, "conditions": [{"indices": [1, 2], "gcd": big}]}, "big.json")
         # constant takes the target prime's exact factor past its head, and count
-        # factors nothing once the witness (big, big) lies outside the box
+        # factors nothing
         code, tested = {"constant": (0, [big]), "count": (0, []), "factors": (0, [big])}[argv[0]]
         assert main([argv[0], doc, *argv[1:]]) == code
         assert calls == tested
+
+    def test_verify_tests_the_target_prime_once(self, write_doc, monkeypatch, capsys):
+        # the constant factors the target, and the count, inside the box
+        # here, reads its primes off its sieve to 3
+        from gcdcensus import padic, primes
+
+        calls, is_prime = [], primes.is_prime
+
+        def counted(n):
+            calls.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(primes, "is_prime", counted)
+        monkeypatch.setattr(padic, "is_prime", counted)
+        big = 1000002000007
+        doc = write_doc({"k": 2, "conditions": [{"indices": [1, 2], "gcd": big}]})
+        assert main(["verify", doc, "--limit", str(3 * big), "--prime-bound", "1000"]) == 0
+        assert "count 7" in capsys.readouterr().out.splitlines()
+        assert calls == [big]
 
 
 class TestWitness:

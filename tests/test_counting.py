@@ -20,7 +20,7 @@ from gcdcensus import (
     is_admissible,
     nymann_count,
 )
-from gcdcensus import FactorPolynomial, counting, find_cover, generic_factor_polynomial, primes
+from gcdcensus import FactorPolynomial, counting, find_cover, generic_factor_polynomial, padic, primes
 from gcdcensus import local_factor, local_view, relevant_primes
 from gcdcensus.padic import core_masks, valuations
 
@@ -55,6 +55,16 @@ def star(k: int, target: int = 1) -> ConditionSet:
 
 
 README = condition_set(3, {(1, 2): 6, (2, 3): 10})
+
+
+def unfactorable(monkeypatch) -> None:
+    """Make every call to factorize fail, wherever it was imported."""
+
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr(primes, "factorize", refuse)
+    monkeypatch.setattr(padic, "factorize", refuse)
 
 
 @st.composite
@@ -214,6 +224,9 @@ class TestWalk:
             ({(1, 2): 12, (1, 3): 9}, 30),
             ({(1, 2): 7}, 6),
             ({(1, 2): 7, (2, 3): 1}, 6),  # the quotient box (0, 0, 6): no solution
+            # inadmissible at 2, a prime above every quotient (1, 1, 1): only the
+            # witness check, not the sieve, sees it
+            ({(1, 2): 1, (1, 3): 2, (2, 3): 2}, 2),
         ],
     )
     def test_prime_powers_and_targets_above_x(self, targets, x):
@@ -347,16 +360,24 @@ class TestWalk:
         ],
     )
     def test_count_factors_targets_once(self, cs, x, walk, monkeypatch):
-        calls = []
-
-        def counted(system):
-            calls.append(system)
-            return relevant_primes(system)
-
-        monkeypatch.setattr(counting, "relevant_primes", counted)
-        count(cs, x)
-        assert calls == ([cs] if walk else [])  # a declined system factors nothing
+        # the walk reads its target primes off its own sieve, and the scan
+        # needs none: count answers both kernels' systems without factorize
+        expected = counting._scan(cs, x)
+        unfactorable(monkeypatch)
+        assert count(cs, x) == expected
         assert (counting._walk(cs, x) is not None) is walk
+
+    def test_semiprime_target_is_counted_without_factoring(self, monkeypatch):
+        # S = (2^64 - 59)(2^64 - 83) is past what factorize splits in bounded
+        # time; the witness (S, S) leaves the quotients (x // S, x // S), and a
+        # pair of multiples of S meets the condition when its quotients are coprime
+        s = (2**64 - 59) * (2**64 - 83)
+        cs = condition_set(2, {(1, 2): s})
+        unfactorable(monkeypatch)
+        start = time.perf_counter()
+        assert count(cs, 3 * s) == 7
+        assert count(cs, 1000 * s) == nymann_count(2, 1000) == 608383
+        assert time.perf_counter() - start < 1
 
     # the count-dense benchmark systems without an oracle in the benchmark
     @pytest.mark.parametrize(

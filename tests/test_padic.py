@@ -207,3 +207,9 @@ class TestPadicOrder:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             padic_order(0, 2)
+
+    @pytest.mark.parametrize("p", [1, 0, -1])
+    def test_rejects_divisors_below_two(self, p):
+        # a division loop by 1 or -1 never ends, and 0 divides nothing
+        with pytest.raises(ValueError):
+            padic_order(8, p)
