@@ -14,7 +14,9 @@ constant sums too; g_p vanishes at every other pattern.  Every solution is a
 multiple of the canonical witness n, so `_walk` sums the series over the
 quotients x // n_i, prime by prime in ascending order with exact ints; it
 sieves to the largest quotient, and its target primes are the sieved primes
-dividing n, so nothing is factored.  On dense systems with many active
+dividing n, so nothing is factored.  Indices are twins when swapping them
+maps the system onto itself; the walk sums one vector per orbit of the twin
+swaps and memoizes each node's sum on its orbit.  On dense systems with many active
 coordinates it loses to `_scan`, a depth-first box scan over per-position
 bitsets, so it declines those (returns None) before it sums anything, and
 `count` runs the scan.  Each kernel charges its work to one budget, a loop at a
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_right
+from functools import partial
 from itertools import accumulate
 from math import gcd, inf, log, log10, prod
 from typing import TYPE_CHECKING, Callable, Iterable
@@ -206,6 +209,18 @@ def _walk(sub: ConditionSet, x: int, budget: int = _COUNT_STEPS) -> int | None:
     sieved number, remainder, node and run is charged before the walk makes it,
     and the single primes of a pattern as their loop ends: at most
     pi(4 sqrt(max y)) of them.
+
+    Every step above is unchanged by a swap of twins (_twin_classes): the
+    root, fits, each target prime's cores and table, and the live patterns.
+    So the walk keeps one vector per orbit, each twin class's values sorted
+    at that class's own positions, and merges the target primes' nodes under
+    that form.  below returns its sum per unit weight, which the parent
+    multiplies by w * g, memoized on (sorted y, start): exact, since a node's
+    live patterns are the root's filtered by big, which reads only y and
+    ps[start].  Each lookup is charged one step before it runs.  Without
+    twins nothing is sorted or memoized: a memo there found no hits on
+    README's system and raised count's peak RSS at x = 3 * 10^6 from 17.1 to
+    23.9 MB (2-vCPU VM, Python 3.11).
     """
     m = sub.k
     n = canonical_witness(sub)
@@ -226,6 +241,8 @@ def _walk(sub: ConditionSet, x: int, budget: int = _COUNT_STEPS) -> int | None:
     sieved, whole = primes_up_to(largest), prod(n)
     charge(len(sieved) * (455 + whole.bit_length()) // 3500)  # a remainder: 0.13 us, and 1 us per 3500 bits
 
+    groups = [(c, operator.itemgetter(*c)) for c in _twin_classes(sub) if len(c) > 1]
+    canon = partial(_canonical, groups) if groups else tuple  # without twins each vector is its own orbit
     nodes, ps = {root: 1}, []  # ps: the sieved primes that divide no target
     for p in sieved:
         if whole % p:
@@ -243,7 +260,7 @@ def _walk(sub: ConditionSet, x: int, budget: int = _COUNT_STEPS) -> int | None:
         for y, w in nodes.items():
             for divisors, g in table:
                 if all(map(operator.le, divisors, y)):
-                    child = tuple(map(operator.floordiv, y, divisors))
+                    child = canon(map(operator.floordiv, y, divisors))
                     merged[child] = merged.get(child, 0) + w * g
         nodes = {y: w for y, w in merged.items() if w}
 
@@ -254,9 +271,9 @@ def _walk(sub: ConditionSet, x: int, budget: int = _COUNT_STEPS) -> int | None:
     ps.append(largest + 1)  # never fits
     patterns = list(zip(sets[1:], set_weights[1:]))  # the empty set is the node itself
 
-    def below(y: list[int], w: int, start: int, patterns: list[tuple[int, int]]) -> int:
-        # the terms of every node reached from y by primes >= ps[start]; a
-        # pattern not live at the parent is not live here
+    def below(y: tuple[int, ...], start: int, patterns: list[tuple[int, int]]) -> int:
+        # the terms of every node reached from y by primes >= ps[start], per
+        # unit of y's weight; a pattern not live at the parent is not live here
         q = ps[start]
         big = sum(1 << i for i, v in enumerate(y) if v >= q)
         if not big:
@@ -270,13 +287,13 @@ def _walk(sub: ConditionSet, x: int, budget: int = _COUNT_STEPS) -> int | None:
             limit = min(ys)
             j, q = start, ps[start]
             while q <= limit:  # one prime at a time while a child can take a further prime
-                z = y.copy()
+                z = list(y)
                 for i in inside:
                     z[i] //= q
                 if not any(min(e(z)) >= ps[j + 1] for e in edges):
                     break
                 terms += g * prod(z)
-                total += below(z, w * g, j + 1, live)
+                total += g * visit(z, j + 1, live)
                 j += 1
                 q = ps[j]
             rest = g * whole // prod(ys)
@@ -294,9 +311,52 @@ def _walk(sub: ConditionSet, x: int, budget: int = _COUNT_STEPS) -> int | None:
                 terms += rest * prod(quotients) * (k - j)
                 j = k
                 q = ps[j]
-        return w * terms + total
+        return terms + total
 
-    return sum(w * prod(y) + below(list(y), w, 0, patterns) for y, w in nodes.items())
+    if groups:
+        memo: dict[tuple[tuple[int, ...], int], int] = {}
+
+        def visit(y: Iterable[int], start: int, patterns: list[tuple[int, int]]) -> int:
+            charge(1)  # the lookup
+            key = canon(y), start
+            value = memo.get(key)
+            if value is None:
+                value = memo[key] = below(key[0], start, patterns)
+            return value
+
+    else:
+        visit = below
+
+    return sum(w * (prod(y) + visit(y, 0, patterns)) for y, w in nodes.items())
+
+
+def _canonical(groups: list[tuple[list[int], Callable]], y: Iterable[int]) -> tuple[int, ...]:
+    """The representative of y's orbit under the twin swaps: each class's
+    values sorted, back at that class's own positions."""
+    z = list(y)
+    for positions, get in groups:
+        for i, v in zip(positions, sorted(get(z))):
+            z[i] = v
+    return tuple(z)
+
+
+def _twin_classes(sub: ConditionSet) -> list[list[int]]:
+    """The twin classes of sub, as ascending lists of 0-based positions:
+    i and j are twins when swapping them maps the set of (mask, target)
+    pairs onto itself.  Such swaps compose, so each index is compared with
+    the first member of each class found so far."""
+    system = {(c.mask, c.value) for c in sub.conditions}
+    classes: list[list[int]] = []
+    for i in range(sub.k):
+        for members in classes:
+            flip = 1 << i | 1 << members[0]
+            # only a condition holding exactly one of the two moves
+            if all((e ^ flip, v) in system for e, v in system if (e & flip).bit_count() == 1):
+                members.append(i)
+                break
+        else:
+            classes.append([i])
+    return classes
 
 
 def _mertens(x: int) -> Callable[[int], int]:

@@ -4,7 +4,8 @@ Everything here is deliberately independent of the library's computation
 paths: the enumeration oracle walks tuples with itertools and math.gcd,
 the admissibility and witness oracles apply the criterion prime by prime
 with primes and valuations found by trial division, the pin oracle
-compares those orders pair by pair, the local-factor
+compares those orders pair by pair, the twin oracle relabels the whole system
+for each swap of two indices, the local-factor
 oracle sums capped geometric valuation probabilities directly, the
 local-pattern oracles take finite differences on a dense exponent grid
 and the subset Mobius transform over all 2^m index sets,
@@ -53,6 +54,19 @@ def naive_count(cs: ConditionSet, x: int) -> int:
                 break
         total += ok
     return total
+
+
+def naive_twins(cs: ConditionSet) -> set[frozenset[int]]:
+    """The pairs {i, j} of indices whose swap leaves the system unchanged:
+    each pair's swap applied to every condition's index set, and the
+    relabelled ConditionSet compared with cs."""
+    twins = set()
+    for i, j in itertools.combinations(range(1, cs.k + 1), 2):
+        swap = {i: j, j: i}
+        swapped = tuple(Condition(frozenset(swap.get(a, a) for a in c.indices), c.value) for c in cs.conditions)
+        if ConditionSet(cs.k, swapped) == cs:
+            twins.add(frozenset((i, j)))
+    return twins
 
 
 def naive_local_patterns(

@@ -477,6 +477,12 @@ class TestCountVerify:
         assert main(["count", write_doc(PAIR2), "--limit", str(10**12)]) == 3
         assert "count's walk needs over" in capsys.readouterr().err
 
+    def test_twin_free_refusal_keeps_its_step_count(self, write_doc, capsys):
+        # README's system has no twin indices: the walk memoizes nothing and
+        # charges each step as it did before it summed orbits of twins
+        assert main(["count", write_doc(GOOD), "--limit", "3200000"]) == 3
+        assert "count's walk needs over 3000251 steps, past its budget of 3000000" in capsys.readouterr().err
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_count_too_long_to_print_is_resource_exit(self, write_doc, capsys, fmt):
         # x**k with no conditions: no kernel runs, but the count has 6001 digits

@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gcdcensus import (
+    Condition,
     ConditionSet,
     ResourceLimitError,
     condition_set,
@@ -31,6 +32,7 @@ from helpers import (
     exponent_cap,
     naive_count,
     naive_local_patterns,
+    naive_twins,
     readme_count,
     totients_up_to,
     trial_mobius,
@@ -91,6 +93,49 @@ def target_systems(draw):
     chosen = draw(st.lists(st.sampled_from(edges), min_size=1, max_size=4, unique=True))
     base = draw(st.lists(st.sampled_from((1, 2, 3, 4, 5, 6, 8, 9, 12, 18)), min_size=k, max_size=k))
     return condition_set(k, {e: gcd(*(base[i - 1] for i in e)) for e in chosen})
+
+
+# twin-closed systems on positions 0..k-1, as the orbits of their conditions
+# under the twin swaps; one target per orbit keeps every swap an automorphism
+TWIN_TEMPLATES = [
+    *([[(0, i) for i in range(1, k)]] for k in (3, 4, 5)),  # stars
+    *([list(combinations(range(k), 2))] for k in (3, 4, 5)),  # complete pairwise
+    [[(a, b) for a in (0, 1) for b in (2, 3)]],  # complete bipartite K_{2,2}
+    [[(a, b) for a in (0, 1) for b in (2, 3, 4)]],  # K_{2,3}
+    [[(0, 1, 2)], [(2, 3)]],  # cascades with twin leaves 0 and 1
+    [[(0, 2), (1, 2)], [(2, 3)]],
+    [[(0, 1, 2)], [(2, 3)], [(3, 4)]],
+    [[(0, 2), (1, 2)], [(2, 3)], [(3, 4)]],
+    [[(0, 1, 2)], [(2, 3), (2, 4)]],  # twin leaves at both ends
+]
+
+
+@st.composite
+def twin_closed_systems(draw):
+    """(cs, x): a template relabelled by a random permutation, so that twin
+    classes interleave, with targets from 1, 2, 3, 4, 6 and 12, one per orbit
+    of conditions, and x small enough for full-box enumeration."""
+    orbits = draw(st.sampled_from(TWIN_TEMPLATES))
+    k = 1 + max(i for orbit in orbits for e in orbit for i in e)
+    label = draw(st.permutations(range(1, k + 1)))
+    targets = {}
+    for orbit in orbits:
+        t = draw(st.sampled_from((1, 2, 3, 4, 6, 12)))
+        targets.update({tuple(label[i] for i in e): t for e in orbit})
+    return condition_set(k, targets), draw(st.integers(1, {3: 40, 4: 12, 5: 6}[k]))
+
+
+@st.composite
+def retargeted(draw, systems):
+    """A system from systems, half the time with one target raised by 1,
+    which makes or breaks the twins whose swap moves that condition onto
+    another."""
+    cs = draw(systems)
+    if not cs.conditions or draw(st.booleans()):
+        return cs
+    moved = draw(st.sampled_from(cs.conditions))
+    others = [c for c in cs.conditions if c != moved]
+    return ConditionSet(cs.k, (*others, Condition(moved.indices, moved.value + 1)))
 
 
 class TestCount:
@@ -379,6 +424,37 @@ class TestWalk:
         assert count(cs, 1000 * s) == nymann_count(2, 1000) == 608383
         assert time.perf_counter() - start < 1
 
+    @given(twin_closed_systems())
+    @example((condition_set(5, {(a, b): 1 for a in (1, 3) for b in (2, 4, 5)}), 6))  # K_{2,3}, parts interleaved
+    @example((condition_set(4, {(a, b): 1 for a in (1, 3) for b in (2, 4)}), 12))  # K_{2,2}: the 4-cycle
+    @example((condition_set(3, {(1, 2): 2, (2, 3): 2}), 30))  # K_{1,2} centred at 2
+    @example((pairwise(4), 12))  # one class: memo hits at unequal starts
+    @settings(max_examples=100, deadline=None)
+    def test_twin_closed_systems_match_naive_enumeration(self, case):
+        # the walk sums one vector per orbit of the twin swaps, each class's
+        # values sorted at its own positions, and memoizes a node's sum on its
+        # orbit and next prime
+        cs, x = case
+        expected = naive_count(cs, x)
+        assert counting._walk(cs, x) in (None, expected)  # None: declined, K_{2,3} and complete pairwise k=5
+        assert count(cs, x) == expected
+
+    @given(retargeted(st.one_of(condition_sets(max_k=6), twin_closed_systems().map(lambda case: case[0]))))
+    @example(condition_set(3, {(1, 2): 1, (1, 3): 2}))  # 2 and 3 differ only in one target
+    @settings(max_examples=200, deadline=None)
+    def test_twin_classes_match_naive_swaps(self, cs):
+        classes = counting._twin_classes(cs)
+        assert sorted(i for c in classes for i in c) == list(range(cs.k))
+        assert all(c == sorted(c) for c in classes)
+        pairs = {frozenset((i + 1, j + 1)) for c in classes for i, j in combinations(c, 2)}
+        assert pairs == naive_twins(cs)
+
+    def test_star_at_ten_thousand_matches_coprime_sums(self):
+        # the three leaves are twins; a centre n has coprime_count(x, n) choices
+        # at each leaf.  Refused past the step budget before the walk had twins.
+        x = 10**4
+        assert count(star(4), x) == sum(coprime_count(x, n) ** 3 for n in range(1, x + 1)) == 3372065065651273
+
     # the count-dense benchmark systems without an oracle in the benchmark
     @pytest.mark.parametrize(
         "cs, x, expected",
@@ -414,6 +490,7 @@ class TestBudget:
             ("_scan", pairwise(5), 10),
             ("_scan", path(17), 2),
             ("_scan", README, 300),
+            ("_walk", star(4), 1000),  # twin leaves: memo lookups are charged too
         ],
     )
     def test_a_finished_kernel_stays_within_its_budget(self, kernel, cs, x, monkeypatch):
